@@ -1,11 +1,10 @@
 module Config = Cluster.Config
 module Valchan = Cluster.Valchan
 module Randnum = Cluster.Randnum
-module Walk = Cluster.Walk
-module B = Agreement.Byz_behavior
 module Rng = Prng.Rng
-module Ledger = Metrics.Ledger
-module Graph = Dsgraph.Graph
+
+(* Per primitive label: the makespan histogram and the deadline hits. *)
+type label_stats = { hist : Telemetry.Histogram.t; mutable label_timeouts : int }
 
 type t = {
   cfg : Config.t;
@@ -14,12 +13,11 @@ type t = {
   patience : float;
   mutable clock : float;
   mutable timeouts : int;
-  (* Telemetry: per-primitive-label makespan histograms and timeout
-     tallies, plus kernel queue peaks folded in after each sub-session.
-     All of it is a pure function of the session's event streams, so the
-     monitor may export it under the byte-identity gates. *)
-  lat : (string, Telemetry.Histogram.t) Hashtbl.t;
-  lat_timeouts : (string, int) Hashtbl.t;
+  (* Telemetry: per-label makespans and deadline hits, plus kernel queue
+     peaks folded in after each sub-session.  All of it is a pure function
+     of the session's event streams, so the monitor may export it under
+     the byte-identity gates. *)
+  lat : (string, label_stats) Hashtbl.t;
   mutable queue_peak : int;
   mutable inflight_peak : int;
 }
@@ -34,7 +32,6 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     clock = 0.0;
     timeouts = 0;
     lat = Hashtbl.create 8;
-    lat_timeouts = Hashtbl.create 8;
     queue_peak = 0;
     inflight_peak = 0;
   }
@@ -47,45 +44,38 @@ let timeouts t = t.timeouts
 let rng_cursor t = Rng.save t.rng
 let timeout t = t.patience *. Delay.mean t.delay
 
-(* Session bookkeeping shared by every primitive: add the sub-session's
-   makespan to the running virtual clock, count deadline hits, and record
-   the makespan into the label's latency histogram. *)
-let account t ~label ~makespan ~timed_out =
+(* Close a sub-session: fold its kernel's queue peaks into the session,
+   add its makespan to the running virtual clock, record the makespan
+   under its label and count a deadline hit. *)
+let account t net ~label ~makespan ~timed_out =
+  t.queue_peak <- max t.queue_peak (Anet.queue_peak net);
+  t.inflight_peak <- max t.inflight_peak (Anet.inflight_peak net);
   t.clock <- t.clock +. makespan;
-  let h =
+  let l =
     match Hashtbl.find_opt t.lat label with
-    | Some h -> h
+    | Some l -> l
     | None ->
-      let h = Telemetry.Histogram.create () in
-      Hashtbl.replace t.lat label h;
-      h
+      let l = { hist = Telemetry.Histogram.create (); label_timeouts = 0 } in
+      Hashtbl.replace t.lat label l;
+      l
   in
-  Telemetry.Histogram.add h makespan;
+  Telemetry.Histogram.add l.hist makespan;
   if timed_out then begin
     t.timeouts <- t.timeouts + 1;
-    let c =
-      match Hashtbl.find_opt t.lat_timeouts label with Some c -> c | None -> 0
-    in
-    Hashtbl.replace t.lat_timeouts label (c + 1)
+    l.label_timeouts <- l.label_timeouts + 1
   end
-
-(* Fold a finished sub-session kernel's queue peaks into the session. *)
-let absorb_net t net =
-  if Anet.queue_peak net > t.queue_peak then t.queue_peak <- Anet.queue_peak net;
-  if Anet.inflight_peak net > t.inflight_peak then
-    t.inflight_peak <- Anet.inflight_peak net
 
 let latency_labels t =
   Hashtbl.fold (fun l _ acc -> l :: acc) t.lat [] |> List.sort compare
 
-let latency t ~label = Hashtbl.find_opt t.lat label
+let latency t ~label = Option.map (fun l -> l.hist) (Hashtbl.find_opt t.lat label)
 
 let timeouts_for t ~label =
-  match Hashtbl.find_opt t.lat_timeouts label with Some c -> c | None -> 0
+  match Hashtbl.find_opt t.lat label with Some l -> l.label_timeouts | None -> 0
 
 let latency_all t =
   Hashtbl.fold
-    (fun _ h acc -> Telemetry.Histogram.merge acc h)
+    (fun _ l acc -> Telemetry.Histogram.merge acc l.hist)
     t.lat
     (Telemetry.Histogram.create ())
 
@@ -99,41 +89,41 @@ let inflight_peak t = t.inflight_peak
 
 let span_time t = int_of_float t.clock
 
-let deviation_point strategy ~src ~dst =
-  if Trace.active () then
-    Trace.point
-      ~attrs:[ ("dst", dst); ("src", src) ]
-      Trace.Msg
-      ("byz." ^ B.deviation strategy)
-
 (* valChan ---------------------------------------------------------- *)
 
 (* The asynchronous validated channel: every source member's copies leave
-   at virtual time 0 with per-link delays; each honest destination applies
-   the majority rule to the votes that arrived by the session deadline.
-   First arrival per sender wins (under zero delay, arrival order is send
-   order, so verdicts coincide with the synchronous session's — the
-   cross-validation test pins this).  Latency can only delay or suppress
-   votes, never add them, so skew degrades liveness (no verdict by the
-   deadline), never safety. *)
+   at virtual time 0 with per-link delays; each honest destination tallies
+   the votes that arrive by the session deadline (first arrival per sender
+   wins) and records when a value first reached the majority.  Under zero
+   delay arrival order is send order, so verdicts coincide with the
+   synchronous session's (the cross-validation test pins this).  Latency
+   can only delay or suppress votes, never add them, so skew degrades
+   liveness (no verdict by the deadline), never safety. *)
 let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
   let cfg = t.cfg in
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
   let deadline = timeout t in
   let net = Anet.create ~ledger:(Config.ledger cfg) ~rng:t.rng ~delay:t.delay () in
-  let split_at = Valchan.split_point dst_members in
-  let arrivals : (int, (float * int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun id ->
-      if Config.is_byzantine cfg id then
-        Anet.add_node net ~id (fun ~now:_ ~src:_ _ -> ())
-      else begin
-        let cell = ref [] in
-        Hashtbl.replace arrivals id cell;
-        Anet.add_node net ~id (fun ~now ~src msg -> cell := (now, src, msg) :: !cell)
-      end)
-    dst_members;
+  let n_src = List.length src_members in
+  (* Per honest destination, in member order: its tally and the time the
+     majority was first reached. *)
+  let decided =
+    List.filter_map
+      (fun id ->
+        if Config.is_byzantine cfg id then begin
+          Anet.add_node net ~id (fun ~now:_ ~src:_ _ -> ());
+          None
+        end
+        else begin
+          let tally = Valchan.Tally.create ~members:n_src in
+          let at = ref deadline in
+          Anet.add_node net ~id (fun ~now ~src v ->
+              if Valchan.Tally.vote tally ~sender:src v then at := now);
+          Some (id, tally, at)
+        end)
+      dst_members
+  in
   List.iter
     (fun id ->
       if not (Anet.is_alive net id) then
@@ -147,76 +137,35 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
       match Config.byzantine cfg id with
       | None -> Anet.multicast net ~src:id ~dsts:dst_members ~label payload
       | Some strategy ->
-        let rng = B.rng_of strategy in
-        List.iter
-          (fun dst ->
-            match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-            | B.Honest_send -> Anet.send net ~src:id ~dst ~label payload
-            | B.Forge v ->
-              deviation_point strategy ~src:id ~dst;
-              Anet.send net ~src:id ~dst ~label ~deviant:true v
-            | B.Redirect sink ->
-              deviation_point strategy ~src:id ~dst;
-              Anet.send net ~src:id ~dst:sink ~label ~deviant:true payload
-            | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-          dst_members)
+        Valchan.deviate strategy ~src:id ~label ~dsts:dst_members ~payload
+          (fun ~dst ~deviant v -> Anet.send net ~src:id ~dst ~label ~deviant v))
     src_members;
   Anet.run ~until:deadline net;
-  let threshold = List.length src_members / 2 in
-  (* Per destination: verdict over the on-time inbox, plus the time the
-     majority was first reached (the deadline when it never was). *)
-  let decide id =
-    let arr = List.rev !(Hashtbl.find arrivals id) in
-    let inbox = List.map (fun (_, sender, v) -> (sender, v)) arr in
-    let verdict = Valchan.validate ~members:src_members ~inbox in
-    let voted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let decided_at = ref None in
-    List.iter
-      (fun (time, sender, v) ->
-        if
-          !decided_at = None
-          && List.mem sender src_members
-          && not (Hashtbl.mem voted sender)
-        then begin
-          Hashtbl.replace voted sender ();
-          let c =
-            (match Hashtbl.find_opt counts v with Some c -> c | None -> 0) + 1
-          in
-          Hashtbl.replace counts v c;
-          if c > threshold then decided_at := Some time
-        end)
-      arr;
-    (verdict, !decided_at)
+  let verdicts =
+    List.map (fun (id, tally, _) -> (id, Valchan.Tally.verdict tally)) decided
   in
-  let decided =
-    List.filter_map
-      (fun id ->
-        if Config.is_byzantine cfg id then None else Some (id, decide id))
-      dst_members
-  in
-  let timed_out = List.exists (fun (_, (_, at)) -> at = None) decided in
-  let makespan =
-    List.fold_left
-      (fun acc (_, (_, at)) ->
-        Float.max acc (match at with Some w -> w | None -> deadline))
-      0.0 decided
-  in
-  let result = Valchan.summarise (List.map (fun (id, (v, _)) -> (id, v)) decided) in
-  absorb_net t net;
-  account t ~label ~makespan ~timed_out;
-  (result, makespan)
+  let makespan = List.fold_left (fun acc (_, _, at) -> Float.max acc !at) 0.0 decided in
+  account t net ~label ~makespan ~timed_out:(List.exists (fun (_, v) -> v = None) verdicts);
+  (Valchan.summarise verdicts, makespan)
 
 let transmit t ~src_cluster ~dst_cluster ?(label = "valchan") ~payload () =
-  let ledger = Config.ledger t.cfg in
   Trace.with_span
     ~attrs:[ ("dst", dst_cluster); ("src", src_cluster) ]
-    ~ledger ~time:(span_time t) Trace.Msg label
+    ~ledger:(Config.ledger t.cfg) ~time:(span_time t) Trace.Msg label
     (fun () -> valchan_session t ~src_cluster ~dst_cluster ~label ~payload)
 
 (* randNum ---------------------------------------------------------- *)
 
 type phase = Escrow | Reveal
+
+(* Per contributor: how many members hold its escrow by the phase
+   boundary and its reveal by the deadline (the contributor holds its
+   own), and when the last reveal arrived. *)
+type shares = {
+  mutable escrows : int;
+  mutable reveals : int;
+  mutable last_reveal : float;
+}
 
 (* The asynchronous commit/reveal coin.  Escrow shares leave at time 0;
    the reveal phase is cut by a timeout at half the session deadline (the
@@ -226,285 +175,78 @@ type phase = Escrow | Reveal
    majority's view of "who participated", which late (straggling) shares
    fail, turning skew into a detected stall instead of a silent
    mis-sample. *)
-let randnum_session t ~cluster ~range =
+let randnum_session t ~range members =
   let cfg = t.cfg in
-  let members = Config.members cfg cluster in
   let n = List.length members in
-  let byz_members = List.filter (Config.is_byzantine cfg) members in
-  let secure = 3 * List.length byz_members < 2 * n in
   let deadline = timeout t in
   let boundary = 0.5 *. deadline in
   let net = Anet.create ~ledger:(Config.ledger cfg) ~rng:t.rng ~delay:t.delay () in
-  let escrow_at : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let reveal_at : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  (* Contributions are drawn in member order, exactly like the synchronous
-     session — same Config/behaviour stream consumption. *)
+  let shares : (int, shares) Hashtbl.t = Hashtbl.create 16 in
   let contributions : (int * int) list ref = ref [] in
   List.iter
     (fun id ->
-      let contribution =
-        match Config.byzantine cfg id with
-        | None -> Some (Rng.int (Config.rng cfg) 1_073_741_823)
-        | Some strategy ->
-          let c = B.share strategy (B.rng_of strategy) in
-          (if Trace.active () then
-             match (strategy, c) with
-             | _, None ->
-               Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.withhold"
-             | ( (B.Silent | B.Fixed _ | B.Equivocate _ | B.Random_noise _ | B.Bias_share _),
-                 Some _ ) ->
-               Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.bias"
-             | (B.Drop_walk _ | B.Misroute_walk _ | B.Lie_views _), Some _ -> ());
-          c
-      in
-      (match contribution with
-      | Some c -> contributions := (id, c) :: !contributions
-      | None -> ());
+      let contribution = Randnum.contribution cfg id in
+      (* Only contributors send, one escrow and one reveal per member. *)
       Anet.add_node net ~id (fun ~now ~src msg ->
-          let tbl = match msg with Escrow -> escrow_at | Reveal -> reveal_at in
-          if not (Hashtbl.mem tbl (src, id)) then Hashtbl.replace tbl (src, id) now);
-      if contribution <> None then begin
+          let s = Hashtbl.find shares src in
+          match msg with
+          | Escrow -> if now <= boundary then s.escrows <- s.escrows + 1
+          | Reveal ->
+            s.reveals <- s.reveals + 1;
+            s.last_reveal <- Float.max s.last_reveal now);
+      match contribution with
+      | None -> ()
+      | Some c ->
+        contributions := (id, c) :: !contributions;
+        Hashtbl.replace shares id { escrows = 1; reveals = 1; last_reveal = 0.0 };
         let others = List.filter (fun m -> m <> id) members in
         Anet.multicast net ~src:id ~dsts:others ~label:"randnum" Escrow;
         Anet.at net ~time:boundary (fun ~now:_ ->
             if Anet.is_alive net id then
-              Anet.multicast net ~src:id ~dsts:others ~label:"randnum" Reveal)
-      end)
+              Anet.multicast net ~src:id ~dsts:others ~label:"randnum" Reveal))
     members;
+  (* Reveals later than the deadline are never delivered. *)
   Anet.run ~until:deadline net;
-  (* A share is reconstructible iff a strict majority of the members holds
-     both halves on time (the contributor itself counts for its own
-     share). *)
-  let on_time tbl ~contributor ~limit =
-    1
-    + List.length
-        (List.filter
-           (fun m ->
-             m <> contributor
-             &&
-             match Hashtbl.find_opt tbl (contributor, m) with
-             | Some at -> at <= limit
-             | None -> false)
-           members)
-  in
   let included =
     List.filter
       (fun (c, _) ->
-        2 * on_time escrow_at ~contributor:c ~limit:boundary > n
-        && 2 * on_time reveal_at ~contributor:c ~limit:deadline > n)
+        let s = Hashtbl.find shares c in
+        2 * s.escrows > n && 2 * s.reveals > n)
       (List.rev !contributions)
   in
-  let participants = List.length included in
-  let stalled = 3 * participants < 2 * n in
-  if stalled && Trace.active () then
-    Trace.point
-      ~attrs:[ ("have", participants); ("need", (2 * n / 3) + 1) ]
-      Trace.Msg "randnum.stall";
+  let outcome = Randnum.conclude cfg ~members ~range included in
   let makespan =
-    if stalled then deadline
+    if outcome.Randnum.stalled then deadline
     else
       List.fold_left
-        (fun acc (c, _) ->
-          List.fold_left
-            (fun acc m ->
-              match Hashtbl.find_opt reveal_at (c, m) with
-              | Some at when at <= deadline -> Float.max acc at
-              | _ -> acc)
-            acc members)
+        (fun acc (c, _) -> Float.max acc (Hashtbl.find shares c).last_reveal)
         0.0 included
   in
-  absorb_net t net;
-  account t ~label:"randnum" ~makespan ~timed_out:stalled;
-  let outcome =
-    if not secure then { Randnum.value = 0; secure; stalled; participants }
-    else begin
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> compare a b) included |> List.map snd
-      in
-      { Randnum.value = Randnum.mix sorted ~range; secure; stalled; participants }
-    end
-  in
+  account t net ~label:"randnum" ~makespan ~timed_out:outcome.Randnum.stalled;
   (outcome, makespan)
 
 let randnum t ~cluster ~range =
-  if range <= 0 then invalid_arg "Session.randnum: range must be positive";
-  let members = Config.members t.cfg cluster in
-  let n = List.length members in
-  if n = 0 then invalid_arg "Session.randnum: empty cluster";
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("cluster", cluster); ("size", n) ]
-    ~ledger ~time:(span_time t) Trace.Msg "randnum"
-    (fun () -> randnum_session t ~cluster ~range)
+  Randnum.spanned ~time:(span_time t) t.cfg ~cluster ~range (randnum_session t ~range)
 
-(* randCl ----------------------------------------------------------- *)
+(* The composite primitives, on this session's plane -------------- *)
 
-(* The asynchronous walk: the same biased CTRW as the synchronous
-   [Walk.rand_cl] (identical draw sequence from the configuration stream,
-   so fault-free endpoints match the synchronous engine exactly), but
-   every hop draw is an asynchronous randNum and every token forward an
-   asynchronous validated transfer — the walk's makespan is the sum of
-   its sub-sessions' makespans. *)
-let rand_cl_session t ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) ~start
-    () =
-  let cfg = t.cfg in
-  let overlay = Config.overlay cfg in
-  let duration =
-    match duration with Some d -> d | None -> Walk.default_duration cfg
-  in
-  let max_size = float_of_int (Config.max_cluster_size cfg) in
-  let elapsed = ref 0.0 in
-  let exception Invalid of int in
-  let rec hop current remaining hops restarts retries =
-    let d = Graph.degree overlay current in
-    let draw range =
-      let o, makespan = randnum t ~cluster:current ~range in
-      elapsed := !elapsed +. makespan;
-      o.Randnum.value
-    in
-    let finish () =
-      let p = float_of_int (Config.size cfg current) /. max_size in
-      let coin =
-        float_of_int (draw Walk.coin_range) /. float_of_int Walk.coin_range
-      in
-      if coin < p then
-        Ok { Walk.selected = current; hops; restarts; hop_retries = retries }
-      else if restarts >= max_restarts then Error `Too_many_restarts
-      else hop current duration hops (restarts + 1) retries
-    in
-    if d = 0 then finish ()
-    else begin
-      let r = draw (d * Walk.coin_range) in
-      let neighbor_index = r mod d in
-      let u = float_of_int (r / d) /. float_of_int Walk.coin_range in
-      let hold =
-        -.log (1.0 -. u +. (1.0 /. float_of_int Walk.coin_range)) /. float_of_int d
-      in
-      if hold >= remaining then finish ()
-      else begin
-        let next = (Graph.sorted_neighbors overlay current).(neighbor_index) in
-        let res, makespan =
-          transmit t ~src_cluster:current ~dst_cluster:next ~label:"walk.token"
-            ~payload:hops ()
-        in
-        elapsed := !elapsed +. makespan;
-        match res.Valchan.unanimous with
-        | Some _ -> hop next (remaining -. hold) (hops + 1) restarts retries
-        | None ->
-          if retries >= max_hop_retries then raise (Invalid current)
-          else begin
-            if Trace.active () then
-              Trace.point ~attrs:[ ("hop", hops); ("to", next) ] Trace.Msg
-                "walk.retry";
-            hop current remaining hops restarts (retries + 1)
-          end
-      end
-    end
-  in
-  let result =
-    match hop start duration 0 0 0 with
-    | result -> result
-    | exception Invalid c -> Error (`Validation_failed c)
-  in
-  (result, !elapsed)
+let plane t =
+  {
+    Cluster.Plane.randnum = (fun ~cluster ~range -> randnum t ~cluster ~range);
+    transmit =
+      (fun ~src_cluster ~dst_cluster ~label ~payload ->
+        transmit t ~src_cluster ~dst_cluster ~label ~payload ());
+    barrier_rounds = 0;
+    clock = (fun () -> span_time t);
+  }
 
 let rand_cl t ?duration ?max_restarts ?max_hop_retries ~start () =
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("start", start) ]
-    ~ledger ~time:(span_time t) Trace.Msg "randcl"
-    (fun () -> rand_cl_session t ?duration ?max_restarts ?max_hop_retries ~start ())
+  Cluster.Walk.rand_cl_on (plane t) ?duration ?max_restarts ?max_hop_retries t.cfg ~start
 
-let pick_member t ~cluster =
-  let members = Config.members t.cfg cluster in
-  let o, _ = randnum t ~cluster ~range:(List.length members) in
-  List.nth members o.Randnum.value
-
-(* exchange --------------------------------------------------------- *)
-
-(* Composition announcements to the neighbours of [cluster]; replicates
-   the synchronous bulk charge ([Exchange.charge_view_update]) except for
-   the round: the asynchronous engine counts no rounds, latency is
-   reported through makespans instead. *)
-let view_update t cluster =
-  let cfg = t.cfg in
-  let overlay = Config.overlay cfg in
-  let size = Config.size cfg cluster in
-  let messages = ref 0 in
-  Graph.iter_neighbors overlay cluster (fun nb ->
-      messages := !messages + (size * Config.size cfg nb));
-  (if Trace.active () then
-     List.iter
-       (fun node ->
-         match Config.byzantine cfg node with
-         | Some (B.Lie_views _ as s) ->
-           Trace.point
-             ~attrs:[ ("cluster", cluster); ("node", node) ]
-             Trace.Msg
-             ("byz." ^ B.deviation s)
-         | Some _ | None -> ())
-       (Config.members cfg cluster));
-  Ledger.charge (Config.ledger cfg) ~label:"exchange.view_update"
-    ~messages:!messages ~rounds:0
-
-let exchange_node_session t ?duration ~node ~home () =
-  match rand_cl t ?duration ~start:home () with
-  | Error e, makespan -> (Error e, makespan)
-  | Ok { Walk.selected; _ }, makespan ->
-    if selected = home then (Ok home, makespan)
-    else begin
-      let res, vc_makespan =
-        transmit t ~src_cluster:home ~dst_cluster:selected
-          ~label:"exchange.announce" ~payload:node ()
-      in
-      (match res.Valchan.unanimous with Some _ -> () | None -> ());
-      let replacement = pick_member t ~cluster:selected in
-      let transfer_messages =
-        Config.size t.cfg home + Config.size t.cfg selected
-      in
-      Ledger.charge (Config.ledger t.cfg) ~label:"exchange.transfer"
-        ~messages:transfer_messages ~rounds:0;
-      Config.swap_nodes t.cfg node replacement;
-      (Ok selected, makespan +. vc_makespan)
-    end
+let pick_member t ~cluster = fst (Cluster.Walk.pick_member_on (plane t) t.cfg ~cluster)
 
 let exchange_node t ?duration ~node () =
-  let home = Config.cluster_of t.cfg node in
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("home", home); ("node", node) ]
-    ~ledger ~time:(span_time t) Trace.Msg "exchange.node"
-    (fun () -> exchange_node_session t ?duration ~node ~home ())
-
-let exchange_all_session t ?duration ~cluster () =
-  let snapshot = Config.members t.cfg cluster in
-  let makespan = ref 0.0 in
-  let rec go nodes touched =
-    match nodes with
-    | [] -> Ok touched
-    | node :: rest -> (
-      match exchange_node t ?duration ~node () with
-      | Error e, span ->
-        makespan := !makespan +. span;
-        Error e
-      | Ok dest, span ->
-        makespan := !makespan +. span;
-        let touched = if dest = cluster then touched else dest :: touched in
-        go rest touched)
-  in
-  let result =
-    match go snapshot [] with
-    | Error e -> Error e
-    | Ok touched ->
-      let touched = List.sort_uniq compare touched in
-      List.iter (view_update t) (cluster :: touched);
-      Ok touched
-  in
-  (result, !makespan)
+  Cluster.Exchange.exchange_node_on (plane t) ?duration t.cfg ~node
 
 let exchange_all t ?duration ~cluster () =
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("cluster", cluster) ]
-    ~ledger ~time:(span_time t) Trace.Msg "exchange"
-    (fun () -> exchange_all_session t ?duration ~cluster ())
+  Cluster.Exchange.exchange_all_on (plane t) ?duration t.cfg ~cluster

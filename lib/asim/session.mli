@@ -1,12 +1,17 @@
 (** The message-level primitives, run asynchronously.
 
     A session wraps a {!Cluster.Config} with a {!Delay} model, a delay
-    RNG stream and a patience bound, and re-runs each primitive as a real
-    discrete-event exchange on a private {!Anet} (sharing the
-    configuration's ledger, trace points and Byzantine behaviour
-    dispatch).  Each primitive returns its usual result {e plus} its
-    makespan — the virtual time the session took — and the session
-    accumulates makespans into a running {!clock}.
+    RNG stream and a patience bound.  It owns only what is really
+    asynchronous: each valChan and randNum sub-session runs on a private
+    {!Anet} (sharing the configuration's ledger) under per-link delays,
+    deadlines and the randNum phase boundary, and returns its usual
+    result {e plus} its makespan — the virtual time it took — which the
+    session accumulates into a running {!clock} and records as latency
+    telemetry.  What each node decides is not written here: the vote
+    tally, the Byzantine send dispatch, the contribution draws and the
+    stall rule come from {!Cluster.Valchan} and {!Cluster.Randnum}, and
+    randCl walks and exchanges are {!Cluster.Walk} and
+    {!Cluster.Exchange} run on the session's {!plane}.
 
     Timeout discipline: every sub-session has a deadline of
     [patience * Delay.mean delay] virtual time units; randNum
@@ -95,6 +100,12 @@ val inflight_peak : t -> int
 (** Largest simultaneous undelivered-message count across all
     sub-sessions. *)
 
+val plane : t -> Cluster.Plane.t
+(** The session as a data plane: {!randnum} and {!transmit} (each
+    recording its makespan and advancing {!clock}), no barrier rounds,
+    spans stamped with the integer part of {!clock}.  {!rand_cl} and the
+    exchanges are {!Cluster.Walk} and {!Cluster.Exchange} run on it. *)
+
 val transmit :
   t -> src_cluster:int -> dst_cluster:int -> ?label:string -> payload:int ->
   unit -> Cluster.Valchan.result * float
@@ -116,23 +127,16 @@ val randnum :
 val rand_cl :
   t -> ?duration:float -> ?max_restarts:int -> ?max_hop_retries:int ->
   start:int -> unit -> (Cluster.Walk.stats, Cluster.Walk.error) result * float
-(** Asynchronous randCl walk: the synchronous CTRW hop logic (identical
-    configuration-stream draws, so fault-free endpoints match the
-    synchronous engine) with every hop draw an asynchronous {!randnum}
-    and every token forward an asynchronous {!transmit}; the makespan is
-    the sum of the sub-sessions'. *)
+(** {!Cluster.Walk.rand_cl_on} on {!plane}. *)
 
 val pick_member : t -> cluster:int -> int
 (** Uniform member via an asynchronous {!randnum} draw. *)
 
 val exchange_node : t -> ?duration:float -> node:int -> unit -> (int, Cluster.Walk.error) result * float
-(** Asynchronously exchange one node out of its cluster (walk, announce,
-    replacement draw, swap — same protocol and charges as
-    {!Cluster.Exchange.exchange_node}, minus round counting). *)
+(** {!Cluster.Exchange.exchange_node_on} on {!plane}: no rounds are
+    charged. *)
 
 val exchange_all :
   t -> ?duration:float -> cluster:int -> unit -> (int list, Cluster.Walk.error) result * float
-(** Asynchronously exchange every member of [cluster] (snapshot up-front)
-    and charge the composition updates to the affected neighbourhoods;
-    returns the sorted distinct clusters that swapped a node with it,
-    plus the summed makespan. *)
+(** {!Cluster.Exchange.exchange_all_on} on {!plane}; the makespan is the
+    clock's advance, up to rounding. *)

@@ -6,7 +6,7 @@ type error = Walk.error
 
 (* Every member of [cluster] tells every member of each neighbouring
    cluster the new composition. *)
-let charge_view_update cfg cluster =
+let charge_view_update (plane : Plane.t) cfg cluster =
   let overlay = Config.overlay cfg in
   let size = Config.size cfg cluster in
   let messages = ref 0 in
@@ -27,66 +27,62 @@ let charge_view_update cfg cluster =
          | Some _ | None -> ())
        (Config.members cfg cluster));
   Ledger.charge (Config.ledger cfg) ~label:"exchange.view_update" ~messages:!messages
-    ~rounds:1
+    ~rounds:plane.barrier_rounds
 
-let exchange_node_session ?duration cfg ~node ~home =
-  match Walk.rand_cl ?duration cfg ~start:home with
-  | Error e -> Error e
-  | Ok { selected; _ } ->
-    if selected = home then Ok home
-    else begin
-      (* Inform C' that it receives x, over the validated channel. *)
-      let res =
-        Valchan.transmit cfg ~src_cluster:home ~dst_cluster:selected
-          ~label:"exchange.announce" ~payload:node ()
-      in
-      (match res.Valchan.unanimous with
-      | Some _ -> ()
-      | None -> ());
-      (* C' picks the replacement uniformly and the two nodes swap; the
-         transfers themselves cost one message to each new team-mate. *)
-      let replacement = Walk.pick_member cfg ~cluster:selected in
-      let transfer_messages = Config.size cfg home + Config.size cfg selected in
-      Ledger.charge (Config.ledger cfg) ~label:"exchange.transfer"
-        ~messages:transfer_messages ~rounds:1;
-      Config.swap_nodes cfg node replacement;
-      Ok selected
-    end
-
-let exchange_node ?duration cfg ~node =
+let exchange_node_on (plane : Plane.t) ?duration cfg ~node =
   let home = Config.cluster_of cfg node in
-  let ledger = Config.ledger cfg in
   Trace.with_span
     ~attrs:[ ("home", home); ("node", node) ]
-    ~ledger
-    ~time:(Metrics.Ledger.total_rounds ledger)
-    Trace.Msg "exchange.node"
-    (fun () -> exchange_node_session ?duration cfg ~node ~home)
+    ~ledger:(Config.ledger cfg) ~time:(plane.clock ()) Trace.Msg "exchange.node"
+    (fun () ->
+      match Walk.rand_cl_on plane ?duration cfg ~start:home with
+      | Error e, walk -> (Error e, walk)
+      | Ok { selected; _ }, walk when selected = home -> (Ok home, walk)
+      | Ok { selected; _ }, walk ->
+        (* Inform C' that it receives x, over the validated channel; the
+           swap does not wait on the announcement's verdict. *)
+        let _, announce =
+          plane.transmit ~src_cluster:home ~dst_cluster:selected
+            ~label:"exchange.announce" ~payload:node
+        in
+        (* C' picks the replacement uniformly and the two nodes swap; the
+           transfers themselves cost one message to each new team-mate. *)
+        let replacement, draw = Walk.pick_member_on plane cfg ~cluster:selected in
+        Ledger.charge (Config.ledger cfg) ~label:"exchange.transfer"
+          ~messages:(Config.size cfg home + Config.size cfg selected)
+          ~rounds:plane.barrier_rounds;
+        Config.swap_nodes cfg node replacement;
+        (Ok selected, walk +. announce +. draw))
 
-let exchange_all_session ?duration cfg ~cluster =
-  let snapshot = Config.members cfg cluster in
-  let rec go nodes touched =
-    match nodes with
-    | [] -> Ok touched
-    | node :: rest ->
-      (match exchange_node ?duration cfg ~node with
-      | Error e -> Error e
-      | Ok dest ->
-        let touched = if dest = cluster then touched else dest :: touched in
-        go rest touched)
-  in
-  match go snapshot [] with
-  | Error e -> Error e
-  | Ok touched ->
-    let touched = List.sort_uniq compare touched in
-    List.iter (charge_view_update cfg) (cluster :: touched);
-    Ok touched
-
-let exchange_all ?duration cfg ~cluster =
-  let ledger = Config.ledger cfg in
+let exchange_all_on (plane : Plane.t) ?duration cfg ~cluster =
   Trace.with_span
     ~attrs:[ ("cluster", cluster) ]
-    ~ledger
-    ~time:(Metrics.Ledger.total_rounds ledger)
-    Trace.Msg "exchange"
-    (fun () -> exchange_all_session ?duration cfg ~cluster)
+    ~ledger:(Config.ledger cfg) ~time:(plane.clock ()) Trace.Msg "exchange"
+    (fun () ->
+      let makespan = ref 0.0 in
+      let rec go nodes touched =
+        match nodes with
+        | [] -> Ok touched
+        | node :: rest -> (
+          let result, span = exchange_node_on plane ?duration cfg ~node in
+          makespan := !makespan +. span;
+          match result with
+          | Error e -> Error e
+          | Ok dest -> go rest (if dest = cluster then touched else dest :: touched))
+      in
+      (* The members are snapshot up-front, as the protocol does. *)
+      let result =
+        match go (Config.members cfg cluster) [] with
+        | Error e -> Error e
+        | Ok touched ->
+          let touched = List.sort_uniq compare touched in
+          List.iter (charge_view_update plane cfg) (cluster :: touched);
+          Ok touched
+      in
+      (result, !makespan))
+
+let exchange_node ?duration cfg ~node =
+  fst (exchange_node_on (Plane.sync cfg) ?duration cfg ~node)
+
+let exchange_all ?duration cfg ~cluster =
+  fst (exchange_all_on (Plane.sync cfg) ?duration cfg ~cluster)

@@ -30,3 +30,18 @@ val exchange_all :
     protocol does).  Returns the sorted list of distinct clusters that
     swapped a node with it.  Ends by charging the composition-update
     messages to the neighbours of every affected cluster. *)
+
+(** {2 On any data plane} *)
+
+val exchange_node_on :
+  Plane.t -> ?duration:float -> Config.t -> node:int -> (int, error) Stdlib.result * float
+(** {!exchange_node} over [plane] (walk, announce and replacement draw are
+    the plane's sub-sessions; the transfer charges [plane.barrier_rounds]
+    rounds).  Also returns the makespan: walk + announce + draw. *)
+
+val exchange_all_on :
+  Plane.t -> ?duration:float -> Config.t -> cluster:int ->
+  (int list, error) Stdlib.result * float
+(** {!exchange_all} over [plane]; the makespan is the sum of the
+    {!exchange_node_on} makespans, and every view update charges
+    [plane.barrier_rounds] rounds. *)

@@ -41,3 +41,28 @@ val run : Config.t -> cluster:int -> range:int -> outcome
 val mix : int list -> range:int -> int
 (** The deterministic combination of contributions used by [run]
     (exposed for tests): 64-bit mixing fold, reduced to [0, range). *)
+
+(** {2 Pieces every kernel's session shares}
+
+    Each message kernel keeps its own delivery code (who holds which
+    escrow when); these are the decisions the sessions make identically
+    on all of them. *)
+
+val contribution : Config.t -> int -> int option
+(** Member [id]'s escrowed contribution: an honest member draws from the
+    configuration stream, a Byzantine one from its behaviour
+    ([None] = withheld), emitting [byz.randnum.withhold] /
+    [byz.randnum.bias] points.  Sessions call it once per member, in
+    member order. *)
+
+val conclude : Config.t -> members:int list -> range:int -> (int * int) list -> outcome
+(** The outcome from the [(member, contribution)] pairs that made it into
+    the reconstruction (any order): the < 2/3-participants stall check
+    (with its [randnum.stall] point), the security check, and {!mix} over
+    the contributions sorted by member id. *)
+
+val spanned :
+  time:int -> Config.t -> cluster:int -> range:int -> (int list -> 'a) -> 'a
+(** [spanned ~time cfg ~cluster ~range session] checks the arguments like
+    {!run} and runs [session members] inside the ["randnum"] span stamped
+    [time]. *)

@@ -46,10 +46,63 @@ let summarise verdicts =
   in
   { verdicts; unanimous }
 
-let split_point dst_members =
-  match dst_members with
-  | [] -> 0
-  | _ -> List.nth dst_members (List.length dst_members / 2)
+(* A Byzantine source member's copies: per destination (in order), the
+   behaviour picks an honest send, a forged value, a redirect to another
+   member or silence, and every deviation gets its trace point.  Each
+   kernel supplies [send], so all of them draw the behaviour stream in the
+   same (source, destination) order. *)
+let deviate strategy ~src ~label ~dsts ~payload send =
+  let rng = B.rng_of strategy in
+  (* Equivocate splits the receivers at the median id. *)
+  let split_at = match dsts with [] -> 0 | _ -> List.nth dsts (List.length dsts / 2) in
+  List.iter
+    (fun dst ->
+      match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
+      | B.Honest_send -> send ~dst ~deviant:false payload
+      | B.Forge v ->
+        deviation_point strategy ~src ~dst;
+        send ~dst ~deviant:true v
+      | B.Redirect sink ->
+        deviation_point strategy ~src ~dst;
+        send ~dst:sink ~deviant:true payload
+      | B.Stay_silent -> deviation_point strategy ~src ~dst)
+    dsts
+
+module Tally = struct
+  type t = {
+    threshold : int;
+    counts : (int, int) Hashtbl.t;
+    voted : (int, unit) Hashtbl.t;
+    mutable verdict : int option;
+  }
+
+  let create ~members =
+    {
+      threshold = members / 2;
+      counts = Hashtbl.create 8;
+      voted = Hashtbl.create 8;
+      verdict = None;
+    }
+
+  let bump t value n =
+    let c = (match Hashtbl.find_opt t.counts value with Some c -> c | None -> 0) + n in
+    Hashtbl.replace t.counts value c;
+    if c > t.threshold then t.verdict <- Some value
+
+  (* At most one value can clear a strict majority of one vote per
+     member, so counting stops at the first that does. *)
+  let add_anonymous t value n = if t.verdict = None && n > 0 then bump t value n
+
+  let vote t ~sender value =
+    if t.verdict = None && not (Hashtbl.mem t.voted sender) then begin
+      Hashtbl.replace t.voted sender ();
+      bump t value 1;
+      t.verdict <> None
+    end
+    else false
+
+  let verdict t = t.verdict
+end
 
 (* The naive session: every destination node collects its full inbox and
    runs [validate] over it, one scan per sender.  Kept as the oracle the
@@ -59,7 +112,6 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let dst_members = Config.members cfg dst_cluster in
   let net = Net.create ~ledger:(Config.ledger cfg) () in
   let verdicts : (int, int option) Hashtbl.t = Hashtbl.create 16 in
-  let split_at = split_point dst_members in
   List.iter
     (fun id ->
       match Config.byzantine cfg id with
@@ -69,22 +121,11 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
             if round = 1 then
               Net.multicast net ~src:id ~dsts:dst_members ~label payload)
       | Some strategy ->
-        let rng = B.rng_of strategy in
         Net.add_node net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
-              List.iter
-                (fun dst ->
-                  match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-                  | B.Honest_send -> Net.send net ~src:id ~dst ~label payload
-                  | B.Forge v ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst ~label ~deviant:true v
-                  | B.Redirect sink ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst:sink ~label ~deviant:true payload
-                  | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-                dst_members))
+              deviate strategy ~src:id ~label ~dsts:dst_members ~payload
+                (fun ~dst ~deviant v -> Net.send net ~src:id ~dst ~label ~deviant v)))
     src_members;
   List.iter
     (fun id ->
@@ -94,12 +135,12 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
               Hashtbl.replace verdicts id (validate ~members:src_members ~inbox)))
     dst_members;
   Net.run_rounds net 2;
-  let honest_dst = List.filter (fun id -> not (Config.is_byzantine cfg id)) dst_members in
   summarise
-    (List.map
+    (List.filter_map
        (fun id ->
-         (id, match Hashtbl.find_opt verdicts id with Some v -> v | None -> None))
-       honest_dst)
+         if Config.is_byzantine cfg id then None
+         else Some (id, Option.join (Hashtbl.find_opt verdicts id)))
+       dst_members)
 
 (* The batched session: one quorum pass per (destination, message) instead
    of one [validate] scan per sender.
@@ -117,7 +158,6 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
   let net = Net.create ~ledger:(Config.ledger cfg) () in
-  let split_at = split_point dst_members in
   (* Byzantine votes per destination, in reversed send order. *)
   let byz_votes : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   let record ~dst ~sender value =
@@ -142,26 +182,13 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
             if round = 1 then
               Net.multicast net ~src:id ~dsts:dst_members ~label payload)
       | Some strategy ->
-        let rng = B.rng_of strategy in
         Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
-              List.iter
-                (fun dst ->
-                  match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-                  | B.Honest_send ->
-                    Net.send net ~src:id ~dst ~label payload;
-                    record ~dst ~sender:id payload
-                  | B.Forge v ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst ~label ~deviant:true v;
-                    record ~dst ~sender:id v
-                  | B.Redirect sink ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst:sink ~label ~deviant:true payload;
-                    record ~dst:sink ~sender:id payload
-                  | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-                dst_members))
+              deviate strategy ~src:id ~label ~dsts:dst_members ~payload
+                (fun ~dst ~deviant v ->
+                  Net.send net ~src:id ~dst ~label ~deviant v;
+                  record ~dst ~sender:id v)))
     src_members;
   List.iter
     (fun id ->
@@ -169,28 +196,15 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
         Net.add_node ~needs_inbox:false net ~id (fun ~round:_ ~inbox:_ -> ()))
     dst_members;
   Net.run_rounds net 2;
-  let threshold = List.length src_members / 2 in
+  let n_src = List.length src_members in
   let verdict_of dst =
     (* Votes = H copies of [payload] + this destination's recorded
-       Byzantine votes (one per sender, first send wins). *)
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let voted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    if !n_honest_src > 0 then Hashtbl.replace counts payload !n_honest_src;
-    (match Hashtbl.find_opt byz_votes dst with
-    | None -> ()
-    | Some cell ->
-      List.iter
-        (fun (sender, value) ->
-          if not (Hashtbl.mem voted sender) then begin
-            Hashtbl.replace voted sender ();
-            let c =
-              match Hashtbl.find_opt counts value with Some c -> c | None -> 0
-            in
-            Hashtbl.replace counts value (c + 1)
-          end)
-        (List.rev !cell));
-    (* At most one value can clear a strict-majority threshold. *)
-    Hashtbl.fold (fun value c acc -> if c > threshold then Some value else acc) counts None
+       Byzantine votes. *)
+    let tally = Tally.create ~members:n_src in
+    Tally.add_anonymous tally payload !n_honest_src;
+    let votes = match Hashtbl.find_opt byz_votes dst with Some c -> List.rev !c | None -> [] in
+    List.iter (fun (sender, value) -> ignore (Tally.vote tally ~sender value)) votes;
+    Tally.verdict tally
   in
   summarise
     (List.filter_map

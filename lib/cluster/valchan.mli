@@ -17,11 +17,42 @@ val validate : members:int list -> inbox:(int * int) list -> int option
 (** Pure majority rule: the payload sent by strictly more than half of
     [members] (counting at most one message per member), if any. *)
 
-val split_point : int list -> int
-(** The receiver-id threshold {!Agreement.Byz_behavior.Equivocate}
-    splits destinations at: the median member id (0 for an empty list).
-    Exposed so the asynchronous engine dispatches behaviours with the
-    identical split, keeping its zero-delay runs bit-compatible. *)
+(** {2 Pieces every kernel's session shares}
+
+    Each message kernel keeps its own delivery code; these are the
+    decisions the sessions make identically on all of them. *)
+
+val deviate :
+  Agreement.Byz_behavior.t -> src:int -> label:string -> dsts:int list ->
+  payload:int -> (dst:int -> deviant:bool -> int -> unit) -> unit
+(** A Byzantine source member's copies of [payload]: for each of [dsts] in
+    order, {!Agreement.Byz_behavior.on_channel} (drawing the behaviour's
+    stream; {!Agreement.Byz_behavior.Equivocate} splits [dsts] at its
+    median id) picks an honest send, a forged value, a redirect to another
+    member or silence.  [send ~dst ~deviant v] performs one send on the
+    caller's kernel; every deviation emits a [byz.<deviation>] trace
+    point. *)
+
+(** First-vote-per-sender, strict-majority tally: {!validate}'s rule,
+    evaluated as votes arrive. *)
+module Tally : sig
+  type t
+
+  val create : members:int -> t
+  (** A tally for a source cluster of [members] members. *)
+
+  val add_anonymous : t -> int -> int -> unit
+  (** [add_anonymous t v n]: [n] votes for [v] from senders that never
+      vote again (the identical honest copies). *)
+
+  val vote : t -> sender:int -> int -> bool
+  (** Counts [sender]'s first vote; [true] iff it gave its value the
+      majority.  Once a value has it (at most one can), votes are
+      ignored. *)
+
+  val verdict : t -> int option
+  (** The value that reached the majority, if one did. *)
+end
 
 type result = {
   verdicts : (int * int option) list;
@@ -32,8 +63,7 @@ type result = {
 
 val summarise : (int * int option) list -> result
 (** Assemble a {!result} from per-member verdicts ([unanimous] is the
-    shared verdict when every member accepted the same [Some] value).
-    Exposed for the asynchronous engine's sessions. *)
+    shared verdict when every member accepted the same [Some] value). *)
 
 val transmit :
   Config.t -> src_cluster:int -> dst_cluster:int -> ?label:string -> payload:int -> unit -> result

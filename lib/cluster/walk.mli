@@ -35,16 +35,6 @@ type stats = {
           point *)
 }
 
-val coin_range : int
-(** Resolution of the per-hop draw: one randNum over
-    [degree * coin_range] splits into a neighbour index and a uniform
-    holding-time coin.  Exposed so the asynchronous engine's hop draws
-    are bit-compatible. *)
-
-val default_duration : Config.t -> float
-(** The default walk duration, [2 * log2 (#clusters) / mean-degree] —
-    the mixing-time budget [rand_cl] uses when [duration] is omitted. *)
-
 val rand_cl :
   ?duration:float ->
   ?max_restarts:int ->
@@ -67,6 +57,26 @@ val rand_cl :
 
 val pick_member : Config.t -> cluster:int -> int
 (** Uniform member of the cluster via {!Randnum} ([randNum(|C|)]). *)
+
+(** {2 On any data plane}
+
+    The functions above run on {!Plane.sync}; these take the plane and
+    also return the makespan, summed from 0 over the plane's sub-sessions
+    in the order they ran. *)
+
+val rand_cl_on :
+  Plane.t ->
+  ?duration:float ->
+  ?max_restarts:int ->
+  ?max_hop_retries:int ->
+  Config.t ->
+  start:int ->
+  (stats, error) Stdlib.result * float
+(** {!rand_cl} over [plane]: every hop draw is a [plane.randnum] and every
+    token forward a [plane.transmit]. *)
+
+val pick_member_on : Plane.t -> Config.t -> cluster:int -> int * float
+(** {!pick_member} over [plane]. *)
 
 val pick_node :
   ?duration:float -> Config.t -> start:int -> (int, error) Stdlib.result

@@ -1,14 +1,14 @@
 (** The {!Driver.S} implementation over the asynchronous engine.
 
-    A hybrid of the other two drivers: the control plane (churn, cluster
-    scans, monitor samples) is delegated to an inner {!Msg_driver} over
-    the shared {!Cluster.Config}, while the data plane — every walk,
-    randNum draw, validated transfer and exchange the spec drives — runs
-    through an {!Asim.Session} under the spec's delay model
-    ([Spec.delay], default ["exp"]).  Primitive outcomes are tallied with
-    the same classification as the message-level driver, plus the two
+    The message-level driver with its data plane swapped: an inner
+    {!Msg_driver} over the shared {!Cluster.Config} does the churn, the
+    primitive tallies, the cluster scans and the monitor samples, while
+    every walk, randNum draw, validated transfer and exchange the spec
+    drives runs on an {!Asim.Session}'s plane under the spec's delay
+    model ([Spec.delay], default ["exp"]).  This driver adds the two
     asynchronous observables: accumulated virtual time and deadline hits
-    ({!Driver.Stats.t}'s [virtual_time] / [session_timeouts]).
+    ({!Driver.Stats.t}'s [virtual_time] / [session_timeouts]), plus the
+    session's latency gauges.
 
     Determinism: one root stream seeds the configuration exactly as the
     message driver would; the delay stream is split off it after
@@ -54,18 +54,10 @@ val session : t -> Asim.Session.t
 (** The underlying asynchronous session (clock, timeouts, direct
     primitive access for experiments). *)
 
-val config : t -> Cluster.Config.t
-(** The driven configuration. *)
-
-val rng : t -> Prng.Rng.t
-(** The driver's root stream (protocol draws; the delay stream is
-    private to {!session}). *)
-
-val ledger : t -> Metrics.Ledger.t
-(** The configuration's cost ledger. *)
-
-val randnum_hist : t -> int array
-(** Copy of the per-value histogram of the driven [randNum] draws. *)
+val driver : t -> Msg_driver.t
+(** The inner message driver: configuration, root stream (protocol
+    draws; the delay stream is private to {!session}), ledger and the
+    [randNum] value histogram, all on the session's plane. *)
 
 val labels : t -> (string * string) list
 (** See {!Driver.S.labels}. *)
@@ -74,15 +66,14 @@ val label : t -> string
 (** See {!Driver.S.label}: [async:scenario-name]. *)
 
 val step : t -> time:int -> unit
-(** See {!Driver.S.step}: the inner driver's churn, then the enabled
-    primitives through the asynchronous session, the inner scan, and an
-    audit frame carrying the delay-stream cursor. *)
+(** See {!Driver.S.step}: {!Msg_driver.step} with the primitives on the
+    session's plane and an audit frame carrying the delay-stream
+    cursor. *)
 
 val sample : t -> time:int -> unit
 (** See {!Driver.S.sample}: the inner driver's configuration sample plus
     the [asim.clock] / [asim.timeouts] gauges. *)
 
 val stats : t -> Driver.Stats.t
-(** See {!Driver.S.stats}: the inner driver's churn/scan tallies with the
-    primitive tallies and virtual-time fields replaced by the
-    asynchronous ones. *)
+(** See {!Driver.S.stats}: the inner driver's tallies plus the session's
+    virtual time, deadline hits and makespan p99. *)

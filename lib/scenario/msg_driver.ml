@@ -4,6 +4,7 @@ module Walk = Cluster.Walk
 module Randnum = Cluster.Randnum
 module Valchan = Cluster.Valchan
 module Exchange = Cluster.Exchange
+module Plane = Cluster.Plane
 module Rng = Prng.Rng
 module Ledger = Metrics.Ledger
 
@@ -14,6 +15,8 @@ type t = {
   labels : (string * string) list;
   cfg : Config.t;
   rng : Rng.t;
+  plane : Plane.t;  (* the transport the primitives run on *)
+  extra_rng : unit -> (string * int64) list;  (* transport streams to digest *)
   behavior : (int -> Agreement.Byz_behavior.t) option;
   target : int;  (* population at creation: the churn band's reference *)
   max_limit : int;
@@ -68,13 +71,15 @@ let behavior_fn (spec : Spec.t) =
           | Ok b -> b
           | Error _ -> assert false))
 
-let of_config ~rng ?(labels = []) (spec : Spec.t) cfg =
+let of_config ?plane ?(extra_rng = fun () -> []) ~rng ?(labels = []) (spec : Spec.t) cfg =
   (match supports spec with Ok () -> () | Error msg -> invalid_arg msg);
   {
     spec;
     labels;
     cfg;
     rng;
+    plane = (match plane with Some p -> p | None -> Plane.sync cfg);
+    extra_rng;
     behavior = behavior_fn spec;
     target = Config.n_nodes cfg;
     max_limit = spec.cluster_size + (spec.cluster_size / 2);
@@ -105,15 +110,13 @@ let of_config ~rng ?(labels = []) (spec : Spec.t) cfg =
     exchanges = 0;
   }
 
+let uniform_config ~rng (spec : Spec.t) =
+  Config.build_uniform ~rng ~ledger:(Ledger.create ()) ?behavior:(behavior_fn spec)
+    ~n_clusters:spec.n_clusters ~cluster_size:spec.cluster_size
+    ~byz_per_cluster:(Spec.byz_count spec) ~overlay_degree:spec.overlay_degree ()
+
 let of_rng ~rng ?labels (spec : Spec.t) =
-  let ledger = Ledger.create () in
-  let behavior = behavior_fn spec in
-  let cfg =
-    Config.build_uniform ~rng ~ledger ?behavior ~n_clusters:spec.n_clusters
-      ~cluster_size:spec.cluster_size ~byz_per_cluster:(Spec.byz_count spec)
-      ~overlay_degree:spec.overlay_degree ()
-  in
-  of_config ~rng ?labels spec cfg
+  of_config ~rng ?labels spec (uniform_config ~rng spec)
 
 let create ~seed ?labels spec = of_rng ~rng:(Rng.create seed) ?labels spec
 
@@ -220,7 +223,7 @@ let churn_step t ~time =
 let walk_once t ~time =
   let ids = ids t in
   let start = ids.(time mod Array.length ids) in
-  match Walk.rand_cl ?duration:t.spec.walk_duration t.cfg ~start with
+  match fst (Walk.rand_cl_on t.plane ?duration:t.spec.walk_duration t.cfg ~start) with
   | Ok s ->
     t.walks_ok <- t.walks_ok + 1;
     t.walk_retries <- t.walk_retries + s.Walk.hop_retries;
@@ -238,7 +241,7 @@ let walk_once t ~time =
 let randnum_once t ~time =
   let ids = ids t in
   let cluster = ids.(time mod Array.length ids) in
-  let o = Randnum.run t.cfg ~cluster ~range:t.spec.randnum_range in
+  let o, _ = t.plane.randnum ~cluster ~range:t.spec.randnum_range in
   if o.Randnum.value >= 0 && o.Randnum.value < Array.length t.hist then
     t.hist.(o.Randnum.value) <- t.hist.(o.Randnum.value) + 1;
   if o.Randnum.stalled then begin
@@ -257,7 +260,9 @@ let valchan_once t ~time =
       (ids.(time mod n), ids.((time + 1) mod n))
   in
   let payload = 1 + Rng.int t.rng 1_000 in
-  let res = Valchan.transmit t.cfg ~src_cluster:src ~dst_cluster:dst ~payload () in
+  let res, _ =
+    t.plane.transmit ~src_cluster:src ~dst_cluster:dst ~label:"valchan" ~payload
+  in
   let forged =
     List.exists
       (fun (_, v) -> match v with Some v -> v <> payload | None -> false)
@@ -273,7 +278,7 @@ let valchan_once t ~time =
 
 let exchange t =
   let ids = ids t in
-  match Exchange.exchange_all t.cfg ~cluster:ids.(0) with
+  match fst (Exchange.exchange_all_on t.plane t.cfg ~cluster:ids.(0)) with
   | Ok _ ->
     t.exchanges <- t.exchanges + 1;
     true
@@ -302,7 +307,7 @@ let step t ~time =
   scan t;
   t.steps <- t.steps + 1;
   (* Post-step digest frame; read-only, see State_driver.step. *)
-  Audit.maybe_record_config ~labels:t.labels ~step:time t.cfg
+  Audit.maybe_record_config ~labels:t.labels ~extra_rng:(t.extra_rng ()) ~step:time t.cfg
 
 let sample t ~time =
   Monitor.maybe_sample_config ~labels:t.labels

@@ -13,7 +13,10 @@
 
     Churn operations the protocol refuses under heavy corruption are
     counted as [churn_failures], never raised — so violation-path
-    scenarios ([tau > 1/3]) stay drivable. *)
+    scenarios ([tau > 1/3]) stay drivable.  The primitives the spec
+    drives run on a {!Cluster.Plane.t}: the synchronous one unless
+    {!of_config} is handed another ({!Async_driver} hands it an
+    asynchronous session's). *)
 
 type t
 
@@ -43,6 +46,8 @@ val of_rng : rng:Prng.Rng.t -> ?labels:(string * string) list -> Spec.t -> t
     and keeps drawing from it. *)
 
 val of_config :
+  ?plane:Cluster.Plane.t ->
+  ?extra_rng:(unit -> (string * int64) list) ->
   rng:Prng.Rng.t ->
   ?labels:(string * string) list ->
   Spec.t ->
@@ -51,7 +56,17 @@ val of_config :
 (** Wrap an already-built configuration (bespoke geometries like E13's
     two-cluster channel pairs); [rng] supplies the driver's own draws
     (payloads, churn picks) and is typically the stream [cfg] was built
-    from. *)
+    from.
+
+    [plane] (default {!Cluster.Plane.sync}[ cfg]) is the transport the
+    driven primitives run on — the asynchronous driver passes its
+    session's.  [extra_rng] adds the transport's own stream cursors to
+    every step's audit frame (default none). *)
+
+val uniform_config : rng:Prng.Rng.t -> Spec.t -> Cluster.Config.t
+(** The spec's uniform geometry built from [rng] (what {!of_rng} wraps):
+    [n_clusters] clusters of [cluster_size], [byz_count] members each
+    running the spec's behaviour, a fresh ledger. *)
 
 val config : t -> Cluster.Config.t
 (** The driven configuration (for direct primitive measurements). *)
@@ -76,36 +91,31 @@ val leave : t -> unit
     [max 2 (2/3 * cluster_size)] (a merge refused for lack of a partner
     is not a failure). *)
 
-val churn_step : t -> time:int -> unit
-(** The spec's churn action for this step, without driving any primitive
-    — the control-plane half of {!step}, exposed so the asynchronous
-    driver can reuse it (its data plane runs on {!Asim} instead). *)
-
 val scan : t -> unit
 (** The post-step cluster scan (sizes, honest majorities, honest-fraction
-    floor) — read-only; the other half {!step} shares with the
-    asynchronous driver. *)
+    floor) — read-only. *)
 
 val walk_once : t -> time:int -> unit
-(** One [randCl] walk from the live cluster [time mod #C], honouring the
-    spec's [walk_duration]; tallies completions, hop retries, failures
-    and misblames, and emits [walk.retry] / [walk.failed] monitor
-    counts. *)
+(** One [randCl] walk on the driver's plane from the live cluster
+    [time mod #C], honouring the spec's [walk_duration]; tallies
+    completions, hop retries, failures and misblames, and emits
+    [walk.retry] / [walk.failed] monitor counts. *)
 
 val randnum_once : t -> time:int -> unit
-(** One [randNum] draw on the live cluster [time mod #C] over the spec's
-    [randnum_range]; tallies the value histogram, stalls (with a
-    [randnum.stall] count) and insecure draws. *)
+(** One [randNum] draw on the driver's plane on the live cluster
+    [time mod #C] over the spec's [randnum_range]; tallies the value
+    histogram, stalls (with a [randnum.stall] count) and insecure
+    draws. *)
 
 val valchan_once : t -> time:int -> unit
-(** One validated transfer of a fresh payload in [1, 1000] along the
-    spec's [valchan_route] (default: live clusters [time mod #C] to
-    [(time + 1) mod #C]); classifies the outcome as accepted, forged
-    (emitting a [valchan.forged] count) or rejected. *)
+(** One validated transfer on the driver's plane of a fresh payload in
+    [1, 1000] along the spec's [valchan_route] (default: live clusters
+    [time mod #C] to [(time + 1) mod #C]); classifies the outcome as
+    accepted, forged (emitting a [valchan.forged] count) or rejected. *)
 
 val exchange : t -> bool
-(** [exchange_all] on the first live cluster; [false] when the exchange
-    failed (tallied only on success). *)
+(** [exchange_all] on the driver's plane, on the first live cluster;
+    [false] when the exchange failed (tallied only on success). *)
 
 val randnum_hist : t -> int array
 (** Copy of the per-value histogram of every [randnum_once] draw

@@ -1,6 +1,8 @@
 (* Tests for the asynchronous discrete-event engine (lib/asim): event-queue
    ordering properties, the delay-model catalogue, the zero-delay
-   cross-validation against the synchronous message engine, and the
+   cross-validation against the synchronous message engine (valChan,
+   randNum, walks and exchange, over the Byzantine behaviour catalogue),
+   exchange makespan accounting, and the
    determinism contracts of the async scenario driver (rerun and -j
    byte-identity, zero perturbation under recording). *)
 
@@ -11,6 +13,8 @@ module Config = Cluster.Config
 module Valchan = Cluster.Valchan
 module Randnum = Cluster.Randnum
 module Walk = Cluster.Walk
+module Exchange = Cluster.Exchange
+module Ledger = Metrics.Ledger
 module B = Agreement.Byz_behavior
 module Graph = Dsgraph.Graph
 module Rng = Prng.Rng
@@ -143,57 +147,95 @@ let prop_delay_bounded_support =
 
 (* ---------- zero-delay cross-validation ---------- *)
 
-let pair_config ~rng ~byz =
+(* Node [node] runs the named catalogue behaviour when [corrupt node]. *)
+let behaviour ~name ~corrupt node =
+  if corrupt node then
+    match B.of_name ~seed:(node + 1) name with
+    | Ok b -> Some b
+    | Error msg -> Alcotest.fail msg
+  else None
+
+let byz_counts = [ 0; 3; 7; 9 ]
+
+(* Twin 15-member clusters: the first [byz] source members and the first
+   [byz / 3] destination members are corrupted. *)
+let pair_config ~rng ~name ~byz =
   let src = List.init 15 (fun i -> i) in
   let dst = List.init 15 (fun i -> 100 + i) in
-  let byzantine node =
-    if node >= 0 && node < byz then Some (B.Equivocate (9_001, 9_002)) else None
-  in
+  let corrupt node = node < byz || (node >= 100 && node < 100 + (byz / 3)) in
   let overlay = Graph.create () in
   ignore (Graph.add_edge overlay 0 1);
-  Config.make ~rng ~byzantine ~clusters:[ (0, src); (1, dst) ] ~overlay ()
+  Config.make ~rng ~byzantine:(behaviour ~name ~corrupt)
+    ~clusters:[ (0, src); (1, dst) ] ~overlay ()
 
 (* Zero-delay async valchan reproduces the synchronous verdicts exactly,
-   including against equivocating senders (same behaviour-stream draws). *)
+   for every catalogue behaviour (same behaviour-stream draws), on each
+   channel label a behaviour may single out. *)
 let test_zero_delay_valchan_matches_sync () =
   List.iter
-    (fun byz ->
-      let seed = 2024 + byz in
-      let cfg_sync = pair_config ~rng:(Rng.of_int seed) ~byz in
-      let cfg_async = pair_config ~rng:(Rng.of_int seed) ~byz in
-      let reference =
-        Valchan.transmit cfg_sync ~src_cluster:0 ~dst_cluster:1 ~payload:77 ()
-      in
-      let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async in
-      let res, makespan =
-        Session.transmit s ~src_cluster:0 ~dst_cluster:1 ~payload:77 ()
-      in
-      checkb "verdicts equal" true (reference.Valchan.verdicts = res.Valchan.verdicts);
-      checkb "unanimous equal" true
-        (reference.Valchan.unanimous = res.Valchan.unanimous);
-      checkb "zero delay, zero makespan" true (makespan = 0.0);
-      checki "no timeouts" 0 (Session.timeouts s))
-    [ 0; 5; 9 ]
+    (fun name ->
+      List.iter
+        (fun byz ->
+          List.iter
+            (fun label ->
+              let seed = 2024 + byz in
+              let cfg_sync = pair_config ~rng:(Rng.of_int seed) ~name ~byz in
+              let cfg_async = pair_config ~rng:(Rng.of_int seed) ~name ~byz in
+              let reference =
+                Valchan.transmit cfg_sync ~src_cluster:0 ~dst_cluster:1 ~label
+                  ~payload:77 ()
+              in
+              let s =
+                Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async
+              in
+              let res, makespan =
+                Session.transmit s ~src_cluster:0 ~dst_cluster:1 ~label ~payload:77 ()
+              in
+              let what = Printf.sprintf "%s byz=%d %s" name byz label in
+              checkb ("verdicts equal " ^ what) true
+                (reference.Valchan.verdicts = res.Valchan.verdicts);
+              checkb ("unanimous equal " ^ what) true
+                (reference.Valchan.unanimous = res.Valchan.unanimous);
+              checkb "zero delay, zero makespan" true (makespan = 0.0);
+              checki "ledger messages equal"
+                (Ledger.total_messages (Config.ledger cfg_sync))
+                (Ledger.total_messages (Config.ledger cfg_async)))
+            [ "valchan"; "walk.token"; "exchange.announce" ])
+        byz_counts)
+    B.names
 
-let single_config ~rng ~n =
+let single_config ~rng ~name ~byz ~n =
   let ids = List.init n (fun i -> i) in
   let overlay = Graph.create () in
   Graph.add_vertex overlay 0;
-  Config.make ~rng ~byzantine:(fun _ -> None) ~clusters:[ (0, ids) ] ~overlay ()
+  Config.make ~rng ~byzantine:(behaviour ~name ~corrupt:(fun node -> node < byz))
+    ~clusters:[ (0, ids) ] ~overlay ()
 
 let test_zero_delay_randnum_matches_sync () =
-  for seed = 1 to 8 do
-    let cfg_sync = single_config ~rng:(Rng.of_int seed) ~n:15 in
-    let cfg_async = single_config ~rng:(Rng.of_int seed) ~n:15 in
-    let reference = Randnum.run cfg_sync ~cluster:0 ~range:1000 in
-    let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async in
-    let o, _ = Session.randnum s ~cluster:0 ~range:1000 in
-    checki "value equal" reference.Randnum.value o.Randnum.value;
-    checki "participants equal" reference.Randnum.participants o.Randnum.participants;
-    checkb "stalled equal" true (reference.Randnum.stalled = o.Randnum.stalled)
-  done
+  List.iter
+    (fun name ->
+      List.iter
+        (fun byz ->
+          for seed = 1 to 8 do
+            let cfg_sync = single_config ~rng:(Rng.of_int seed) ~name ~byz ~n:15 in
+            let cfg_async = single_config ~rng:(Rng.of_int seed) ~name ~byz ~n:15 in
+            let reference = Randnum.run cfg_sync ~cluster:0 ~range:1000 in
+            let s =
+              Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async
+            in
+            let o, _ = Session.randnum s ~cluster:0 ~range:1000 in
+            checki "value equal" reference.Randnum.value o.Randnum.value;
+            checki "participants equal" reference.Randnum.participants
+              o.Randnum.participants;
+            checkb "stalled equal" true (reference.Randnum.stalled = o.Randnum.stalled);
+            checkb "secure equal" true (reference.Randnum.secure = o.Randnum.secure)
+          done)
+        byz_counts)
+    B.names
 
-let ring_config ~rng =
+(* Six clusters of 12 on a ring; member [j] of every cluster is corrupted
+   when [j < byz]. *)
+let ring_config ?(name = "silent") ?(byz = 0) ~rng () =
   let clusters =
     List.init 6 (fun c -> (c, List.init 12 (fun j -> (c * 100) + j)))
   in
@@ -201,12 +243,14 @@ let ring_config ~rng =
   for c = 0 to 5 do
     ignore (Graph.add_edge overlay c ((c + 1) mod 6))
   done;
-  Config.make ~rng ~byzantine:(fun _ -> None) ~clusters ~overlay ()
+  Config.make ~rng
+    ~byzantine:(behaviour ~name ~corrupt:(fun node -> node mod 100 < byz))
+    ~clusters ~overlay ()
 
 let test_zero_delay_walk_matches_sync () =
   for seed = 1 to 6 do
-    let cfg_sync = ring_config ~rng:(Rng.of_int seed) in
-    let cfg_async = ring_config ~rng:(Rng.of_int seed) in
+    let cfg_sync = ring_config ~rng:(Rng.of_int seed) () in
+    let cfg_async = ring_config ~rng:(Rng.of_int seed) () in
     let reference = Walk.rand_cl ~duration:6.0 cfg_sync ~start:0 in
     let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async in
     let res, makespan = Session.rand_cl s ~duration:6.0 ~start:0 () in
@@ -218,6 +262,58 @@ let test_zero_delay_walk_matches_sync () =
     | Error _, Error _ -> ()
     | _ -> Alcotest.fail "sync and zero-delay async walks disagree");
     checkb "zero delay, zero makespan" true (makespan = 0.0)
+  done
+
+(* Ledger messages per label (the async kernel charges no "round"). *)
+let label_messages cfg =
+  List.filter_map
+    (fun (label, messages, _) -> if messages > 0 then Some (label, messages) else None)
+    (Ledger.labels (Config.ledger cfg))
+
+(* A zero-delay async exchange places every node where the synchronous
+   one does and sends the same messages; only the round count differs:
+   the synchronous engine charges rounds, the asynchronous one none. *)
+let test_zero_delay_exchange_matches_sync () =
+  List.iter
+    (fun name ->
+      for seed = 1 to 4 do
+        let cfg_sync = ring_config ~name ~byz:3 ~rng:(Rng.of_int seed) () in
+        let cfg_async = ring_config ~name ~byz:3 ~rng:(Rng.of_int seed) () in
+        let reference = Exchange.exchange_all cfg_sync ~cluster:0 in
+        let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async in
+        let res, makespan = Session.exchange_all s ~cluster:0 () in
+        let what = Printf.sprintf "%s seed=%d" name seed in
+        checkb ("result equal " ^ what) true (reference = res);
+        List.iter
+          (fun c ->
+            checkb
+              (Printf.sprintf "cluster %d members equal %s" c what)
+              true
+              (Config.members cfg_sync c = Config.members cfg_async c))
+          (Config.cluster_ids cfg_sync);
+        checkb ("ledger messages equal " ^ what) true
+          (label_messages cfg_sync = label_messages cfg_async);
+        checkb "zero delay, zero makespan" true (makespan = 0.0);
+        checkb "sync charges rounds" true (Ledger.total_rounds (Config.ledger cfg_sync) > 0);
+        checki "async charges no rounds" 0 (Ledger.total_rounds (Config.ledger cfg_async))
+      done)
+    B.names
+
+(* The makespan [exchange_all] returns accounts for every sub-session it
+   ran, replacement draws included: it is the clock's advance. *)
+let test_exchange_makespan_is_clock_advance () =
+  let delay = match Delay.of_name "exp" with Ok d -> d | Error msg -> Alcotest.fail msg in
+  for seed = 1 to 5 do
+    let cfg = ring_config ~rng:(Rng.of_int seed) () in
+    let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay cfg in
+    ignore (Session.randnum s ~cluster:1 ~range:10);
+    let before = Session.clock s in
+    let _, makespan = Session.exchange_all s ~cluster:0 () in
+    let advance = Session.clock s -. before in
+    checkb
+      (Printf.sprintf "seed %d: makespan %g = clock advance %g" seed makespan advance)
+      true
+      (advance > 0.0 && Float.abs (makespan -. advance) <= 1e-9 *. advance)
   done
 
 (* ---------- async scenario driver determinism ---------- *)
@@ -282,6 +378,10 @@ let suite =
       test_zero_delay_randnum_matches_sync;
     Alcotest.test_case "zero-delay walk == synchronous endpoint" `Quick
       test_zero_delay_walk_matches_sync;
+    Alcotest.test_case "zero-delay exchange == synchronous placement" `Quick
+      test_zero_delay_exchange_matches_sync;
+    Alcotest.test_case "exchange makespan is the clock advance" `Quick
+      test_exchange_makespan_is_clock_advance;
     Alcotest.test_case "async cells are byte-identical for any -j" `Quick
       test_async_cells_jobs_identical;
     Alcotest.test_case "recording perturbs no async stat" `Quick
