@@ -16,23 +16,50 @@ let subsystems = [ "honesty"; "ledger"; "overlay"; "rng"; "table" ]
 
 (* Shared folds ---------------------------------------------------- *)
 
+(* Ascending, as an [int array]: sorting immediates in place, not cons
+   cells under polymorphic compare. *)
+let sorted_ints l =
+  let a = Array.of_list l in
+  Array.sort Int.compare a;
+  a
+
 let fold_members h cid members =
   let h = Fnv.int h cid in
-  let h = List.fold_left Fnv.int h (List.sort compare members) in
+  let h = Array.fold_left Fnv.int h (sorted_ints members) in
   Fnv.int h (-1)
 
-let table_of_clusters clusters =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) clusters in
-  List.fold_left (fun h (cid, members) -> fold_members h cid members) Fnv.init
-    sorted
+(* Folds one cluster at a time, so only its member list is live: every
+   list built up front would outlive the minor heap on a 10^5-node
+   table and be promoted. *)
+let table_of_clusters ids members =
+  List.fold_left
+    (fun h cid -> fold_members h cid (members cid))
+    Fnv.init (List.sort Int.compare ids)
+
+(* Each edge [(u, v)], [u < v], packed into one int [u lsl 31 lor v]:
+   for ends in [0, 2^31) the packed order is the lexicographic pair order
+   the digest is defined on, and the sort compares immediates. *)
+let edge_bits = 31
+
+let edge_mask = (1 lsl edge_bits) - 1
 
 let overlay_of_graph g =
   let h = Fnv.int Fnv.init (Graph.version g) in
   let h = Fnv.int h (Graph.n_vertices g) in
-  List.fold_left
-    (fun h (u, v) -> Fnv.int (Fnv.int h u) v)
-    h
-    (List.sort compare (Graph.edges g))
+  let packed = Array.make (Graph.n_edges g) 0 in
+  let k = ref 0 in
+  Graph.iter_vertices g (fun u ->
+      Graph.iter_neighbors g u (fun v ->
+          if u < v then begin
+            if u < 0 || v > edge_mask then
+              invalid_arg "Digest_of: overlay vertex id outside [0, 2^31)";
+            packed.(!k) <- (u lsl edge_bits) lor v;
+            incr k
+          end));
+  Array.sort Int.compare packed;
+  Array.fold_left
+    (fun h e -> Fnv.int (Fnv.int h (e lsr edge_bits)) (e land edge_mask))
+    h packed
 
 let rng_of_cursors cursors =
   List.fold_left
@@ -51,8 +78,7 @@ let ledger_of ledger =
 
 let view (v : Now_core.View.t) =
   let table =
-    table_of_clusters
-      (List.map (fun cid -> (cid, v.Now_core.View.members cid)) (v.Now_core.View.cluster_ids ()))
+    table_of_clusters (v.Now_core.View.cluster_ids ()) v.Now_core.View.members
   in
   let honesty =
     let h = ref Fnv.init in
@@ -85,17 +111,17 @@ let engine e = view (Engine.view e)
 let config ?(extra_rng = []) c =
   let ids = List.sort compare (Config.cluster_ids c) in
   let table =
-    table_of_clusters (List.map (fun cid -> (cid, Config.members c cid)) ids)
+    table_of_clusters ids (Config.members c)
   in
   let honesty =
     List.fold_left
       (fun h cid ->
         let h = Fnv.int h cid in
-        List.fold_left
+        Array.fold_left
           (fun h node ->
             Fnv.int (Fnv.int h node) (if Config.is_byzantine c node then 1 else 0))
           h
-          (List.sort compare (Config.members c cid)))
+          (sorted_ints (Config.members c cid)))
       Fnv.init ids
   in
   let overlay = overlay_of_graph (Config.overlay c) in

@@ -12,7 +12,9 @@
       every node;
     - [overlay] — the overlay adjacency: {!Dsgraph.Graph.version}, vertex
       count and the sorted edge list (the version detects mutate-and-undo
-      sequences a pure edge fold would miss);
+      sequences a pure edge fold would miss).  Vertex ids must lie in
+      [[0, 2^31)] (edges are sorted packed into one int each);
+      [Invalid_argument] otherwise;
     - [rng] — the saved per-stream generator cursors
       ({!Now_core.Engine.rng_cursors} / {!Cluster.Config.rng_cursors}),
       the first subsystem to drift when two runs consume their streams

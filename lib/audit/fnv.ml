@@ -13,12 +13,21 @@ let init = offset_basis
 
 let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
-let int64 h v =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := byte !h (Int64.to_int (Int64.shift_right_logical v (8 * shift)))
-  done;
-  !h
+(* Fold byte [shift / 8] of [v]. *)
+let[@inline] step h v shift =
+  Int64.mul (Int64.logxor h (Int64.logand (Int64.shift_right_logical v shift) 0xffL)) prime
+
+(* The eight steps written out, not folded through a ref: straight-line
+   int64 lets stay unboxed, a ref would box every intermediate. *)
+let[@inline] int64 h v =
+  let h = step h v 0 in
+  let h = step h v 8 in
+  let h = step h v 16 in
+  let h = step h v 24 in
+  let h = step h v 32 in
+  let h = step h v 40 in
+  let h = step h v 48 in
+  step h v 56
 
 let int h v = int64 h (Int64.of_int v)
 

@@ -97,6 +97,13 @@ module Make (Tbl : Table_intf.S) = struct
     (* [2 * Params.max_cluster_size params], hoisted out of the per-walk
        rejection loop (it is float math on immutable params). *)
     split_bound : int;
+    (* View-cost memo: [nb_sum.(cid)] is Σ|nb| over [cid]'s overlay
+       neighbours, valid iff [memo_open] and [nb_gen.(cid) = memo_gen].
+       Opened only around size-neutral phases (see [size_neutral]). *)
+    mutable memo_open : bool;
+    mutable memo_gen : int;
+    mutable nb_gen : int array;
+    mutable nb_sum : int array;
   }
 
   let handles_of ledger =
@@ -137,12 +144,50 @@ module Make (Tbl : Table_intf.S) = struct
     if t.params.Params.allow_split_merge then bound
     else max bound (Tbl.max_size t.tbl + 1)
 
-  let sum_neighbor_view_cost t cid =
-    let g = Over.graph t.over in
-    let s = size t cid in
+  (* Σ|nb| over [cid]'s overlay neighbours — the direct computation, and
+     the oracle the memo below must agree with. *)
+  let neighbor_size_sum t cid =
+    let nbs = Graph.neighbor_array (Over.graph t.over) cid in
     let total = ref 0 in
-    Graph.iter_neighbors g cid (fun nb -> total := !total + (s * size t nb));
+    for i = 0 to Array.length nbs - 1 do
+      total := !total + size t nbs.(i)
+    done;
     !total
+
+  (* Run [f] as a size-neutral phase: nothing in it may change a cluster's
+     size or the overlay (only [Tbl.exchange_swap]/[Tbl.swap] mutate), so
+     Σ|nb| per cluster is constant across it and memoised.  Each phase gets
+     a fresh generation, so no entry outlives the phase that filled it. *)
+  let size_neutral t f =
+    t.memo_gen <- t.memo_gen + 1;
+    t.memo_open <- true;
+    match f () with
+    | v ->
+      t.memo_open <- false;
+      v
+    | exception e ->
+      t.memo_open <- false;
+      raise e
+
+  let memo_neighbor_size_sum t cid =
+    if not t.memo_open then neighbor_size_sum t cid
+    else begin
+      if cid >= Array.length t.nb_gen then begin
+        let n = max (cid + 1) (2 * Array.length t.nb_gen) in
+        let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+        t.nb_gen <- grow t.nb_gen;
+        t.nb_sum <- grow t.nb_sum
+      end;
+      if t.nb_gen.(cid) = t.memo_gen then t.nb_sum.(cid)
+      else begin
+        let v = neighbor_size_sum t cid in
+        t.nb_gen.(cid) <- t.memo_gen;
+        t.nb_sum.(cid) <- v;
+        v
+      end
+    end
+
+  let sum_neighbor_view_cost t cid = size t cid * memo_neighbor_size_sum t cid
 
   (* ------------------------------------------------------------------ *)
   (* randCl                                                              *)
@@ -211,29 +256,27 @@ module Make (Tbl : Table_intf.S) = struct
         h
       end
     in
-    let messages = ref 0 and hops = ref 0 and restarts = ref 0 in
-    let rec attempt budget =
-      if budget = 0 then failwith "Engine.rand_cl: rejection budget exhausted";
+    let segment_messages = hops_per_segment * Cost_model.hop_messages ~src:avg ~dst:avg in
+    (* Plain local refs (no closure captures them) stay in registers. *)
+    let messages = ref 0 and restarts = ref 0 and selected = ref (-1) in
+    while !selected < 0 do
+      if !restarts = 1_000_000 then failwith "Engine.rand_cl: rejection budget exhausted";
       let c = Tbl.uniform_cluster t.tbl t.rng in
       let s = size t c in
-      hops := !hops + hops_per_segment;
-      messages :=
-        !messages
-        + (hops_per_segment * Cost_model.hop_messages ~src:avg ~dst:avg)
-        + Cost_model.randnum_messages ~size:s;
-      if Rng.int t.rng bound < s then c
-      else begin
-        incr restarts;
-        attempt (budget - 1)
-      end
-    in
-    let selected = attempt 1_000_000 in
+      messages := !messages + segment_messages + Cost_model.randnum_messages ~size:s;
+      if Rng.int t.rng bound < s then selected := c else incr restarts
+    done;
     let rounds =
       (!restarts + 1)
       * ((hops_per_segment * Cost_model.hop_rounds) + Cost_model.randnum_rounds)
     in
     Ledger.charge_handle t.h_randcl ~messages:!messages ~rounds;
-    { wr_cluster = selected; wr_hops = !hops; wr_restarts = !restarts; wr_rounds = rounds }
+    {
+      wr_cluster = !selected;
+      wr_hops = (!restarts + 1) * hops_per_segment;
+      wr_restarts = !restarts;
+      wr_rounds = rounds;
+    }
 
   (* State-level spans stamp the engine's own clock ([t.time]) and charge
      deltas off the engine ledger, so E5-style cross checks can line trace
@@ -241,26 +284,26 @@ module Make (Tbl : Table_intf.S) = struct
   let state_span t name attrs f =
     Trace.with_span ~attrs ~ledger:t.ledger ~time:t.time Trace.State name f
 
+  let rand_cl_run t acc ~start =
+    let wr =
+      match t.params.Params.walk_mode with
+      | Params.Exact_walk -> rand_cl_exact t ~start
+      | Params.Direct_sample -> rand_cl_direct t
+    in
+    acc.a_walks <- acc.a_walks + 1;
+    acc.a_hops <- acc.a_hops + wr.wr_hops;
+    wr
+
   let rand_cl_internal t acc ~start =
     if n_clusters t <= 1 then
       { wr_cluster = start; wr_hops = 0; wr_restarts = 0; wr_rounds = 0 }
-    else begin
-      let run () =
-        let wr =
-          match t.params.Params.walk_mode with
-          | Params.Exact_walk -> rand_cl_exact t ~start
-          | Params.Direct_sample -> rand_cl_direct t
-        in
-        acc.a_walks <- acc.a_walks + 1;
-        acc.a_hops <- acc.a_hops + wr.wr_hops;
-        wr
-      in
-      (* With no collector installed [with_span] is exactly [run ()]; the
-         explicit guard just skips allocating the attrs list on the
+    else if Trace.active () then
+      state_span t "randcl" [ ("start", start) ] (fun () -> rand_cl_run t acc ~start)
+    else
+      (* With no collector installed [with_span] is exactly the call; the
+         guard skips the attrs list and the closure on the
          millions-of-walks hot path. *)
-      if Trace.active () then state_span t "randcl" [ ("start", start) ] run
-      else run ()
-    end
+      rand_cl_run t acc ~start
 
   (* ------------------------------------------------------------------ *)
   (* exchange                                                            *)
@@ -409,11 +452,9 @@ module Make (Tbl : Table_intf.S) = struct
     Tbl.add_member t.tbl ~cluster:dest ~node;
     (* Neighbour clusters learn the new composition; the joiner receives its
        neighbourhood along the randCl path. *)
-    let g = Over.graph t.over in
-    let neighborhood_size = ref (size t dest) in
-    Graph.iter_neighbors g dest (fun nb -> neighborhood_size := !neighborhood_size + size t nb);
+    let s = size t dest and nb_sizes = neighbor_size_sum t dest in
     Ledger.charge_handle t.h_join_insert
-      ~messages:(sum_neighbor_view_cost t dest + !neighborhood_size)
+      ~messages:((s * nb_sizes) + s + nb_sizes)
       ~rounds:2;
     acc.a_rounds <- acc.a_rounds + wr.wr_rounds + 2;
     if t.params.Params.shuffle_on_churn then ignore (exchange_all t acc dest);
@@ -555,53 +596,54 @@ module Make (Tbl : Table_intf.S) = struct
         out
       in
       let plans = Exec.par_map plan (List.init n_c (fun i -> i)) in
-      (* Apply + charge, sequentially in cluster-index order. *)
+      (* Apply + charge, sequentially in cluster-index order.  Swaps keep
+         every size and leave the overlay alone: a size-neutral phase. *)
       let walk_rounds = (hops_per_segment * Cost_model.hop_rounds) + Cost_model.randnum_rounds in
       let epoch_max = ref 0 in
-      List.iteri
-        (fun i plan ->
-          let cid = ids.(i) in
-          let touched = Hashtbl.create 16 in
-          let max_rounds = ref 0 in
-          for j = 0 to sizes.(i) - 1 do
-            let dest = ids.(plan.(3 * j)) in
-            let slot = plan.((3 * j) + 1) in
-            let attempts = plan.((3 * j) + 2) + 1 in
-            Ledger.charge_handle t.h_randcl
+      let apply i plan =
+        let cid = ids.(i) in
+        let touched = Hashtbl.create 16 in
+        let max_rounds = ref 0 in
+        for j = 0 to sizes.(i) - 1 do
+          let dest = ids.(plan.(3 * j)) in
+          let slot = plan.((3 * j) + 1) in
+          let attempts = plan.((3 * j) + 2) + 1 in
+          Ledger.charge_handle t.h_randcl
+            ~messages:
+              (attempts
+              * ((hops_per_segment * Cost_model.hop_messages ~src:avg ~dst:avg)
+                + Cost_model.randnum_messages ~size:avg))
+            ~rounds:(attempts * walk_rounds);
+          acc.a_walks <- acc.a_walks + 1;
+          acc.a_hops <- acc.a_hops + (attempts * hops_per_segment);
+          let node = member_snap.(i).(j) in
+          let home = Tbl.cluster_of t.tbl node in
+          let rounds = ref (attempts * walk_rounds) in
+          if dest <> home then begin
+            let b = Tbl.member_at t.tbl dest slot in
+            Tbl.swap t.tbl node b;
+            Ledger.charge_handle t.h_swap
               ~messages:
-                (attempts
-                * ((hops_per_segment * Cost_model.hop_messages ~src:avg ~dst:avg)
-                  + Cost_model.randnum_messages ~size:avg))
-              ~rounds:(attempts * walk_rounds);
-            acc.a_walks <- acc.a_walks + 1;
-            acc.a_hops <- acc.a_hops + (attempts * hops_per_segment);
-            let node = member_snap.(i).(j) in
-            let home = Tbl.cluster_of t.tbl node in
-            let rounds = ref (attempts * walk_rounds) in
-            if dest <> home then begin
-              let b = Tbl.member_at t.tbl dest slot in
-              Tbl.swap t.tbl node b;
-              Ledger.charge_handle t.h_swap
-                ~messages:
-                  (Cost_model.valchan_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest)
-                  + Cost_model.randnum_messages ~size:(Tbl.size t.tbl dest)
-                  + Cost_model.transfer_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest))
-                ~rounds:0;
-              rounds :=
-                !rounds + Cost_model.valchan_rounds + Cost_model.randnum_rounds + 1;
-              Hashtbl.replace touched dest ()
-            end;
-            if !rounds > !max_rounds then max_rounds := !rounds
-          done;
-          let touched = Hashtbl.fold (fun c () l -> c :: l) touched [] in
-          let view_messages =
-            List.fold_left
-              (fun sum c -> sum + sum_neighbor_view_cost t c)
-              0 (cid :: touched)
-          in
-          Ledger.charge_handle t.h_view_update ~messages:view_messages ~rounds:1;
-          if !max_rounds + 1 > !epoch_max then epoch_max := !max_rounds + 1)
-        plans;
+                (Cost_model.valchan_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest)
+                + Cost_model.randnum_messages ~size:(Tbl.size t.tbl dest)
+                + Cost_model.transfer_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest))
+              ~rounds:0;
+            rounds :=
+              !rounds + Cost_model.valchan_rounds + Cost_model.randnum_rounds + 1;
+            Hashtbl.replace touched dest ()
+          end;
+          if !rounds > !max_rounds then max_rounds := !rounds
+        done;
+        let touched = Hashtbl.fold (fun c () l -> c :: l) touched [] in
+        let view_messages =
+          List.fold_left
+            (fun sum c -> sum + sum_neighbor_view_cost t c)
+            0 (cid :: touched)
+        in
+        Ledger.charge_handle t.h_view_update ~messages:view_messages ~rounds:1;
+        if !max_rounds + 1 > !epoch_max then epoch_max := !max_rounds + 1
+      in
+      size_neutral t (fun () -> List.iteri apply plans);
       (* Clusters shuffle in parallel: the epoch's critical path is the
          slowest cluster. *)
       acc.a_rounds <- acc.a_rounds + !epoch_max
@@ -626,22 +668,23 @@ module Make (Tbl : Table_intf.S) = struct
       ~messages:(size t cid + sum_neighbor_view_cost t cid)
       ~rounds:1;
     acc.a_rounds <- acc.a_rounds + 1;
-    if t.params.Params.shuffle_on_churn then begin
-      let touched = exchange_all t acc cid in
-      (* One-level cascade (Theorem 3's proof): every cluster that swapped a
-         node with C re-randomises its own membership.  The cascade exchanges
-         run in parallel; account rounds as the slowest branch. *)
-      let before_cascade = acc.a_rounds in
-      let max_branch = ref 0 in
-      List.iter
-        (fun c ->
-          acc.a_rounds <- before_cascade;
-          ignore (exchange_all t acc c);
-          if acc.a_rounds - before_cascade > !max_branch then
-            max_branch := acc.a_rounds - before_cascade)
-        touched;
-      acc.a_rounds <- before_cascade + !max_branch
-    end;
+    if t.params.Params.shuffle_on_churn then
+      size_neutral t (fun () ->
+          let touched = exchange_all t acc cid in
+          (* One-level cascade (Theorem 3's proof): every cluster that swapped
+             a node with C re-randomises its own membership.  The cascade
+             exchanges run in parallel; account rounds as the slowest
+             branch. *)
+          let before_cascade = acc.a_rounds in
+          let max_branch = ref 0 in
+          List.iter
+            (fun c ->
+              acc.a_rounds <- before_cascade;
+              ignore (exchange_all t acc c);
+              if acc.a_rounds - before_cascade > !max_branch then
+                max_branch := acc.a_rounds - before_cascade)
+            touched;
+          acc.a_rounds <- before_cascade + !max_branch);
     if
       t.params.Params.allow_split_merge
       && size t cid < Params.min_cluster_size t.params
@@ -733,6 +776,10 @@ module Make (Tbl : Table_intf.S) = struct
       hps_nc = -1;
       hps = 0;
       split_bound = 2 * Params.max_cluster_size params;
+      memo_open = false;
+      memo_gen = 0;
+      nb_gen = [||];
+      nb_sum = [||];
     }
 
   let start_create name ~seed ~initial =
@@ -1086,6 +1133,10 @@ module Make (Tbl : Table_intf.S) = struct
       hps_nc = -1;
       hps = 0;
       split_bound = 2 * Params.max_cluster_size params;
+      memo_open = false;
+      memo_gen = 0;
+      nb_gen = [||];
+      nb_sum = [||];
     }
 
   let check_invariants t =

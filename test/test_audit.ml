@@ -76,6 +76,36 @@ let test_digest_tracks_mutation () =
   checkb "rng digest moved on join" true
     (List.assoc "rng" before <> List.assoc "rng" after)
 
+
+(* The overlay digest sorts edges packed into one int each; it must fold
+   exactly the lexicographically sorted (u, v) pairs, up to the largest
+   id the packing admits, and refuse ids beyond it. *)
+let test_overlay_digest_packing () =
+  let v = Engine.view (Scenario.State_driver.engine (state_driver 5)) in
+  let overlay_digest g =
+    List.assoc "overlay" (Audit.Digest_of.view { v with Now_core.View.graph = (fun () -> g) })
+  in
+  let pair_fold g =
+    let h = Audit.Fnv.int Audit.Fnv.init (Dsgraph.Graph.version g) in
+    let h = Audit.Fnv.int h (Dsgraph.Graph.n_vertices g) in
+    List.fold_left
+      (fun h (a, b) -> Audit.Fnv.int (Audit.Fnv.int h a) b)
+      h
+      (List.sort compare (Dsgraph.Graph.edges g))
+  in
+  let top = (1 lsl 31) - 1 in
+  let rng = Rng.of_int 3 in
+  let g = Dsgraph.Graph.create () in
+  for _ = 1 to 300 do
+    let pick () = if Rng.bool rng then Rng.int rng 40 else top - Rng.int rng 40 in
+    ignore (Dsgraph.Graph.add_edge g (pick ()) (pick ()))
+  done;
+  checkb "packed sort folds the sorted pairs" true (overlay_digest g = pair_fold g);
+  ignore (Dsgraph.Graph.add_edge g 0 (top + 1));
+  Alcotest.check_raises "id 2^31 refused"
+    (Invalid_argument "Digest_of: overlay vertex id outside [0, 2^31)") (fun () ->
+      ignore (overlay_digest g))
+
 (* ---------- recorder ---------- *)
 
 let test_recorder_cadence () =
@@ -243,6 +273,7 @@ let suite =
       test_config_digests_deterministic;
     Alcotest.test_case "digest tracks mutation" `Quick
       test_digest_tracks_mutation;
+    Alcotest.test_case "overlay digest packing" `Quick test_overlay_digest_packing;
     Alcotest.test_case "recorder cadence" `Quick test_recorder_cadence;
     Alcotest.test_case "single recorder at a time" `Quick
       test_single_recorder_at_a_time;

@@ -24,6 +24,7 @@ let () =
       ("snapshot-batch-workload", Test_snapshot.suite);
       ("properties", Test_properties.suite);
       ("equivalence", Test_equivalence.suite);
+      ("ledger-golden", Test_golden.suite);
       ("harness", Test_harness.suite);
       ("telemetry", Test_telemetry.suite);
     ]

@@ -269,6 +269,97 @@ let prop_geometric_nonneg =
       let rng = Rng.of_int seed in
       Rng.geometric rng p >= 0)
 
+(* Stream pinning: the first 1,000 outputs of each stream for three
+   seeds, rendered exactly (floats in hex) and hashed, plus the cursor
+   after them, must equal digests recorded from the record-of-int64
+   generator — a change of representation must not move one draw. *)
+let stream_digests seed =
+  let digest f =
+    let buf = Buffer.create 32_768 in
+    let t = Rng.create seed in
+    for i = 0 to 999 do
+      f buf t i
+    done;
+    Printf.bprintf buf "save %Ld" (Rng.save t);
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  (* The last bound rejects about half its draws. *)
+  let bounds = [| 1; 2; 3; 7; 10; 1000; (1 lsl 20) + 7; (1 lsl 40) + 3; (1 lsl 61) + 1 |] in
+  [
+    ("bits64", digest (fun buf t _ -> Printf.bprintf buf "%Ld\n" (Rng.bits64 t)));
+    ( "int",
+      digest (fun buf t i ->
+          Printf.bprintf buf "%d\n" (Rng.int t bounds.(i mod Array.length bounds))) );
+    ("float", digest (fun buf t _ -> Printf.bprintf buf "%h\n" (Rng.float t 1.0)));
+    ( "split",
+      digest (fun buf t _ ->
+          let c = Rng.split t in
+          Printf.bprintf buf "%Ld %Ld\n" (Rng.bits64 c) (Rng.save c)) );
+  ]
+
+let test_stream_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      List.iter2
+        (fun (name, want) (name', got) ->
+          check Alcotest.string name name' name;
+          check Alcotest.string (Printf.sprintf "seed %Ld %s" seed name) want got)
+        expected (stream_digests seed))
+    [
+      ( 0L,
+        [
+          ("bits64", "b146057c1b181bdb1c1eac3f6a351b07");
+          ("int", "0301e0cf463510fe7edeb358f4d53aba");
+          ("float", "bfa5b545111b13ae941fb7d4bd431fc2");
+          ("split", "fd02d8fe3a260181fae8abfe6c751dc6");
+        ] );
+      ( 42L,
+        [
+          ("bits64", "72c3e92676ee1b2d8d679dd4b2f80d3b");
+          ("int", "6e168e7f8165cbecd5b5da8a1ab12bb0");
+          ("float", "633a9b94995a982fd7d38f268c973c70");
+          ("split", "5eb976a2d10981e6e60ee04d3f8219da");
+        ] );
+      ( -1L,
+        [
+          ("bits64", "451f8bd914db5730bd11876ee305cb43");
+          ("int", "f83c69e4fec372d73034d6dddefcb959");
+          ("float", "35089e27d328a866fd1579dc61002582");
+          ("split", "4f792ea5c3fdb25c3ef0ac121c90e474");
+        ] );
+    ]
+
+(* [Rng.int] allocates nothing on the native backend: 10^6 calls add
+   exactly the minor words of the same loop without them (the
+   [Gc.minor_words] readings themselves allocate). *)
+let test_int_allocation_free () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.of_int 5 in
+    let measure f =
+      let w0 = Gc.minor_words () in
+      let acc = f () in
+      let w1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity acc);
+      w1 -. w0
+    in
+    let empty () =
+      let acc = ref 0 in
+      for i = 1 to 1_000_000 do
+        acc := !acc + (i land 1023)
+      done;
+      !acc
+    in
+    let draws () =
+      let acc = ref 0 in
+      for _ = 1 to 1_000_000 do
+        acc := !acc + Rng.int rng 1023
+      done;
+      !acc
+    in
+    check (Alcotest.float 0.0) "minor words added by 10^6 Rng.int" (measure empty)
+      (measure draws)
+  end
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -300,6 +391,8 @@ let suite =
     Alcotest.test_case "sample_distinct invalid" `Quick test_sample_distinct_invalid;
     Alcotest.test_case "save/restore" `Quick test_save_restore;
     Alcotest.test_case "pick membership" `Quick test_pick;
+    Alcotest.test_case "streams pinned" `Quick test_stream_pinned;
+    Alcotest.test_case "int allocation-free" `Quick test_int_allocation_free;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_shuffle_multiset;
     QCheck_alcotest.to_alcotest prop_binomial_range;
