@@ -400,6 +400,8 @@ let run_micro () =
 (* Invariant/timing summary (--monitor-json)                           *)
 (* ------------------------------------------------------------------ *)
 
+module Json = Metrics.Codec.Json
+
 (* BENCH_monitor.json: per-experiment wall time + allocation + the run's
    invariant summary, consumed by scripts/bench_diff.ml.  The wall times
    and caller-domain allocation deltas are the only nondeterministic
@@ -410,7 +412,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
   let buf = Buffer.create 4096 in
   let fr = Monitor.Store.float_repr in
   Buffer.add_string buf "{\n  \"format\": 1,\n";
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": %S,\n" mode);
+  Buffer.add_string buf (Printf.sprintf "  \"mode\": %s,\n" (Json.string mode));
   Buffer.add_string buf "  \"experiments\": [\n";
   let sorted =
     List.sort
@@ -430,9 +432,9 @@ let write_monitor_json ~path ~mode ~results ~timings store =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"id\": %S, \"ok\": %b, \"rows\": %d, \"wall_seconds\": \
+           "    {\"id\": %s, \"ok\": %b, \"rows\": %d, \"wall_seconds\": \
             %.3f, \"alloc_bytes\": %.0f}%s\n"
-           id r.Harness.Common.ok (rows_of r) wall alloc
+           (Json.string id) r.Harness.Common.ok (rows_of r) wall alloc
            (if i = last then "" else ",")))
     sorted;
   Buffer.add_string buf "  ],\n";
@@ -445,7 +447,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
       init samples
   in
   let field name v =
-    Printf.sprintf "    %S: %s,\n" name
+    Printf.sprintf "    %s: %s,\n" (Json.string name)
       (if Float.is_finite v then fr v else "null")
   in
   Buffer.add_string buf "  \"invariants\": {\n";
@@ -477,7 +479,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
   List.iteri
     (fun i (inv, n) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%S: %d" (if i = 0 then "" else ", ") inv n))
+        (Printf.sprintf "%s%s: %d" (if i = 0 then "" else ", ") (Json.string inv) n))
     tally;
   Buffer.add_string buf "}\n  }\n}\n";
   let oc = open_out path in
@@ -494,9 +496,9 @@ let write_monitor_json ~path ~mode ~results ~timings store =
 let append_history ~path ~mode ~results ~timings =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"format\": 1, \"mode\": %S, \"stamp\": %.0f, \
+    (Printf.sprintf "{\"format\": 1, \"mode\": %s, \"stamp\": %.0f, \
                      \"experiments\": ["
-       mode (Unix.time ()));
+       (Json.string mode) (Unix.time ()));
   let sorted =
     List.sort
       (fun a b -> compare a.Harness.Common.id b.Harness.Common.id)
@@ -510,10 +512,10 @@ let append_history ~path ~mode ~results ~timings =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "%s{\"id\": %S, \"ok\": %b, \"wall_seconds\": %.3f, \
+           "%s{\"id\": %s, \"ok\": %b, \"wall_seconds\": %.3f, \
             \"alloc_bytes\": %.0f, \"peak_live_words\": %.0f}"
            (if i = 0 then "" else ", ")
-           id r.Harness.Common.ok wall alloc live))
+           (Json.string id) r.Harness.Common.ok wall alloc live))
     sorted;
   Buffer.add_string buf "]}\n";
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in

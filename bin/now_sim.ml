@@ -74,16 +74,18 @@ let verbose_t =
     value & flag
     & info [ "v"; "verbose" ] ~doc:"Log protocol events (splits, merges, violations).")
 
-let jobs_t =
-  let positive_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok j when j >= 1 -> Ok j
-      | Ok j -> Error (`Msg (Printf.sprintf "expected a positive job count, got %d" j))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
+(* Counts, periods and step numbers: zero or a negative value is a
+   command-line error (exit 124), rejected while the flags parse. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok j when j >= 1 -> Ok j
+    | Ok j -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" j))
+    | Error _ as e -> e
   in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let jobs_t =
   Arg.(
     value
     & opt (some positive_int) None
@@ -92,6 +94,9 @@ let jobs_t =
           "Worker domains for the deterministic Exec pool (default: \
            available cores).  Results are byte-identical for any $(docv); \
            $(b,-j 1) reproduces the sequential run.")
+
+let cadence_t ~doc =
+  Arg.(value & opt positive_int 1 & info [ "cadence" ] ~docv:"K" ~doc)
 
 let setup_jobs jobs =
   match jobs with Some j -> Exec.set_default_jobs j | None -> ()
@@ -148,10 +153,8 @@ let experiments_cmd =
              monitoring on or off.")
   in
   let cadence_t =
-    Arg.(
-      value & opt int 1
-      & info [ "cadence" ] ~docv:"K"
-          ~doc:"Monitor sampling period in sim-time units (with $(b,--monitor)).")
+    cadence_t
+      ~doc:"Monitor sampling period in sim-time units (with $(b,--monitor))."
   in
   let run ids full csv list monitor_dir cadence jobs =
     setup_jobs jobs;
@@ -176,7 +179,6 @@ let experiments_cmd =
       |> List.iter (fun (id, desc) -> Printf.printf "%-4s %s\n" id desc);
       `Ok ()
     end
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
     else begin
     match List.filter (fun id -> Harness.Registry.find id = None) ids with
     | _ :: _ as unknown ->
@@ -548,12 +550,12 @@ let scenario_name_t ~default =
 let opt_steps_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "steps" ] ~docv:"STEPS"
         ~doc:"Operations per cell (default: the scenario's own step count).")
 
 let cells_t ~doc =
-  Arg.(value & opt int 4 & info [ "cells" ] ~docv:"CELLS" ~doc)
+  Arg.(value & opt positive_int 4 & info [ "cells" ] ~docv:"CELLS" ~doc)
 
 (* Resolve the CLI's scenario choices into a runnable spec, or a
    CLI-friendly error. *)
@@ -651,34 +653,32 @@ let trace_cmd =
   let run engine scenario out chrome cells steps net_detail profile_alloc
       exec_stats seed jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else
-      match resolve_spec ~engine ~scenario ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        let steps = spec.Scenario.Spec.steps in
-        Trace.start ~net_detail ~profile_alloc ();
-        let results = Scenario.cells ~engine ~seed ~cells spec in
-        let dump = Trace.stop () in
-        write_file out (Trace.to_jsonl dump);
-        (match chrome with
-        | None -> ()
-        | Some path -> write_file path (Trace.to_chrome dump));
-        let items = Trace.items dump in
-        let spans =
-          List.length
-            (List.filter (function Trace.Span _ -> true | Trace.Mark _ -> false) items)
-        in
-        Printf.printf
-          "scenario %s on %s: %d cells x %d steps, %d simulated messages\n\
-           trace: %d spans, %d items, %d dropped -> %s%s\n\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
-          (total_messages results) spans (List.length items) dump.Trace.dropped
-          out
-          (match chrome with None -> "" | Some p -> Printf.sprintf " (+ %s)" p);
-        print_string (Trace.Report.render (Trace.Report.of_dump dump));
-        if exec_stats then print_exec_stats ();
-        `Ok ()
+    match resolve_spec ~engine ~scenario ~steps with
+    | Error msg -> `Error (false, msg)
+    | Ok spec ->
+      let steps = spec.Scenario.Spec.steps in
+      Trace.start ~net_detail ~profile_alloc ();
+      let results = Scenario.cells ~engine ~seed ~cells spec in
+      let dump = Trace.stop () in
+      write_file out (Trace.to_jsonl dump);
+      (match chrome with
+      | None -> ()
+      | Some path -> write_file path (Trace.to_chrome dump));
+      let items = Trace.items dump in
+      let spans =
+        List.length
+          (List.filter (function Trace.Span _ -> true | Trace.Mark _ -> false) items)
+      in
+      Printf.printf
+        "scenario %s on %s: %d cells x %d steps, %d simulated messages\n\
+         trace: %d spans, %d items, %d dropped -> %s%s\n\n"
+        spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
+        (total_messages results) spans (List.length items) dump.Trace.dropped
+        out
+        (match chrome with None -> "" | Some p -> Printf.sprintf " (+ %s)" p);
+      print_string (Trace.Report.render (Trace.Report.of_dump dump));
+      if exec_stats then print_exec_stats ();
+      `Ok ()
   in
   let term =
     Term.(
@@ -724,12 +724,7 @@ let monitor_cmd =
         "Independent simulation cells, fanned out on the Exec pool; every \
          output is byte-identical for any $(b,-j)."
   in
-  let cadence_t =
-    Arg.(
-      value & opt int 1
-      & info [ "cadence" ] ~docv:"K"
-          ~doc:"Sample the gauges every K-th sim-time step.")
-  in
+  let cadence_t = cadence_t ~doc:"Sample the gauges every K-th sim-time step." in
   let behavior_t =
     Arg.(
       value & opt string "equivocate"
@@ -750,11 +745,7 @@ let monitor_cmd =
   let run engine scenario out csv html cells steps cadence behavior byz_tau
       exec_stats seed jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
-    else if byz_tau < 0.0 || byz_tau > 1.0 then
+    if byz_tau < 0.0 || byz_tau > 1.0 then
       `Error (true, "byz-tau must be within [0, 1]")
     else
       match Adversary.Behavior.of_name behavior with
@@ -848,10 +839,7 @@ let monitor_cmd =
 (* ---------------- audit ---------------- *)
 
 let audit_cadence_t =
-  Arg.(
-    value & opt int 1
-    & info [ "cadence" ] ~docv:"K"
-        ~doc:"Record a digest frame every K-th sim-time step.")
+  cadence_t ~doc:"Record a digest frame every K-th sim-time step."
 
 let audit_cmd =
   let engine_t = engine_pos_t ~what:"audit" in
@@ -868,30 +856,25 @@ let audit_cmd =
   in
   let run engine scenario out cells steps cadence seed jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
-    else
-      match resolve_spec ~engine ~scenario ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        let recorder = Audit.create ~cadence () in
-        let results =
-          Audit.with_recorder recorder (fun () ->
-              Scenario.cells ~engine ~seed ~cells spec)
-        in
-        write_file out (Audit.Export.jsonl_string recorder);
-        Printf.printf "wrote %s\n" out;
-        Printf.printf
-          "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
-           messages\n\
-           digest frames: %d (%d subsystems per recorded step)\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells
-          spec.Scenario.Spec.steps cadence (total_messages results)
-          (Audit.Recorder.n_frames recorder)
-          (List.length Audit.Digest_of.subsystems);
-        `Ok ()
+    match resolve_spec ~engine ~scenario ~steps with
+    | Error msg -> `Error (false, msg)
+    | Ok spec ->
+      let recorder = Audit.create ~cadence () in
+      let results =
+        Audit.with_recorder recorder (fun () ->
+            Scenario.cells ~engine ~seed ~cells spec)
+      in
+      write_file out (Audit.Export.jsonl_string recorder);
+      Printf.printf "wrote %s\n" out;
+      Printf.printf
+        "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
+         messages\n\
+         digest frames: %d (%d subsystems per recorded step)\n"
+        spec.Scenario.Spec.name (Scenario.engine_name engine) cells
+        spec.Scenario.Spec.steps cadence (total_messages results)
+        (Audit.Recorder.n_frames recorder)
+        (List.length Audit.Digest_of.subsystems);
+      `Ok ()
   in
   let term =
     Term.(
@@ -987,7 +970,7 @@ let bisect_cmd =
   let perturb_rng_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "perturb-rng" ] ~docv:"N"
           ~doc:
             "Demo mode: steal N draws from run B's RNG stream mid-run \
@@ -996,7 +979,7 @@ let bisect_cmd =
   in
   let perturb_at_t =
     Arg.(
-      value & opt int 10
+      value & opt positive_int 10
       & info [ "perturb-at" ] ~docv:"STEP"
           ~doc:"Inject the perturbation between STEP and STEP+1 (default 10).")
   in
@@ -1032,51 +1015,42 @@ let bisect_cmd =
     | Some _, None | None, Some _ ->
       `Error (true, "--file-a and --file-b must be given together")
     | None, None -> (
-      if cells < 1 then `Error (true, "need at least one cell")
-      else if (match steps with Some s -> s < 1 | None -> false) then
-        `Error (true, "need at least one step")
-      else if cadence < 1 then `Error (true, "cadence must be >= 1")
-      else if perturb_at < 1 then `Error (true, "perturb-at must be >= 1")
-      else
-        match perturb_rng with
-        | Some n ->
-          if n < 1 then `Error (true, "perturb-rng must be >= 1")
-          else begin
-            let steps = Option.value steps ~default:40 in
-            let spec = bisect_static_spec ~steps in
-            let a =
-              bisect_manual_run ~spec ~seed ~steps ~cadence ~perturb:None
-            in
-            let b =
-              bisect_manual_run ~spec
-                ~seed:(Option.value seed_b ~default:seed)
-                ~steps ~cadence
-                ~perturb:(Some (n, perturb_at))
-            in
-            Printf.printf
-              "mis-seeding demo: 1 msg cell x %d static steps, %d draws \
-               stolen after step %d\n"
-              steps n perturb_at;
-            report (Audit.Recorder.frames a) (Audit.Recorder.frames b)
-          end
-        | None -> (
-          match resolve_spec ~engine ~scenario ~steps with
-          | Error msg -> `Error (false, msg)
-          | Ok spec ->
-            let a =
-              bisect_cells_run ~engine ~spec ~seed ~cells ~cadence
-                ~jobs:jobs_a
-            in
-            let b =
-              bisect_cells_run ~engine ~spec
-                ~seed:(Option.value seed_b ~default:seed)
-                ~cells ~cadence ~jobs:jobs_b
-            in
-            Printf.printf
-              "scenario %s on %s: 2 runs x %d cells x %d steps (cadence %d)\n"
-              spec.Scenario.Spec.name (Scenario.engine_name engine) cells
-              spec.Scenario.Spec.steps cadence;
-            report (Audit.Recorder.frames a) (Audit.Recorder.frames b)))
+      match perturb_rng with
+      | Some n ->
+        let steps = Option.value steps ~default:40 in
+        let spec = bisect_static_spec ~steps in
+        let a =
+          bisect_manual_run ~spec ~seed ~steps ~cadence ~perturb:None
+        in
+        let b =
+          bisect_manual_run ~spec
+            ~seed:(Option.value seed_b ~default:seed)
+            ~steps ~cadence
+            ~perturb:(Some (n, perturb_at))
+        in
+        Printf.printf
+          "mis-seeding demo: 1 msg cell x %d static steps, %d draws \
+           stolen after step %d\n"
+          steps n perturb_at;
+        report (Audit.Recorder.frames a) (Audit.Recorder.frames b)
+      | None -> (
+        match resolve_spec ~engine ~scenario ~steps with
+        | Error msg -> `Error (false, msg)
+        | Ok spec ->
+          let a =
+            bisect_cells_run ~engine ~spec ~seed ~cells ~cadence
+              ~jobs:jobs_a
+          in
+          let b =
+            bisect_cells_run ~engine ~spec
+              ~seed:(Option.value seed_b ~default:seed)
+              ~cells ~cadence ~jobs:jobs_b
+          in
+          Printf.printf
+            "scenario %s on %s: 2 runs x %d cells x %d steps (cadence %d)\n"
+            spec.Scenario.Spec.name (Scenario.engine_name engine) cells
+            spec.Scenario.Spec.steps cadence;
+          report (Audit.Recorder.frames a) (Audit.Recorder.frames b)))
   in
   let term =
     Term.(
@@ -1128,9 +1102,6 @@ let scenario_cmd =
       print_catalogue Scenario.catalogue;
       `Ok ()
     end
-    else if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
     else
       match resolve_spec ~engine ~scenario:name ~steps with
       | Error msg -> `Error (false, msg)

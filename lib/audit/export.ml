@@ -4,22 +4,7 @@
    audit-determinism gate diffs them across -j values and reruns).  The
    parser below reads the same format back for file-vs-file bisection. *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
+module Json = Metrics.Codec.Json
 
 let add_frame buf (f : Recorder.frame) =
   Buffer.add_string buf "{\"digest\":\"";
@@ -28,12 +13,12 @@ let add_frame buf (f : Recorder.frame) =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Json.add_string buf k;
       Buffer.add_char buf ':';
-      add_json_string buf v)
+      Json.add_string buf v)
     f.Recorder.f_labels;
   Buffer.add_string buf (Printf.sprintf "},\"step\":%d,\"subsystem\":" f.Recorder.step);
-  add_json_string buf f.Recorder.subsystem;
+  Json.add_string buf f.Recorder.subsystem;
   Buffer.add_string buf "}\n"
 
 let frames_to_jsonl frames =
@@ -50,128 +35,61 @@ let jsonl_string recorder = frames_to_jsonl (Recorder.frames recorder)
 (* Parsing (for file-vs-file bisection)                                *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
+let known_keys =
+  [ "digest"; "format"; "frames"; "labels"; "step"; "subsystem"; "type" ]
 
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = line.[!pos] in
-      incr pos;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = line.[!pos] in
-        incr pos;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | _ -> fail "unsupported escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
+(* [None] for the meta line.  Key order is free; an unknown key, a
+   wrongly typed value or a frame missing a field is an error. *)
+let frame_of_json = function
+  | Json.Obj fields ->
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k known_keys) then Json.error "unknown key %S" k)
+      fields;
+    let field k = List.assoc_opt k fields in
+    let str k =
+      match field k with
+      | Some (Json.Str s) -> Some s
+      | None -> None
+      | Some _ -> Json.error "%S is not a string" k
     in
-    loop ()
-  in
-  let parse_int () =
-    let start = !pos in
-    while
-      !pos < n && (line.[!pos] = '-' || (line.[!pos] >= '0' && line.[!pos] <= '9'))
-    do
-      incr pos
-    done;
-    match int_of_string_opt (String.sub line start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad integer"
-  in
-  let parse_labels () =
-    expect '{';
-    if peek () = Some '}' then begin
-      incr pos;
-      []
-    end
-    else begin
-      let rec loop acc =
-        let k = parse_string () in
-        expect ':';
-        let v = parse_string () in
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          loop ((k, v) :: acc)
-        | Some '}' ->
-          incr pos;
-          List.rev ((k, v) :: acc)
-        | _ -> fail "expected ',' or '}' in labels"
-      in
-      loop []
-    end
-  in
-  expect '{';
-  let digest = ref None
-  and labels = ref None
-  and step = ref None
-  and subsystem = ref None
-  and is_meta = ref false in
-  let rec members () =
-    let key = parse_string () in
-    expect ':';
-    (match key with
-    | "digest" -> (
-      let hex = parse_string () in
-      match Fnv.of_hex hex with
-      | Some d -> digest := Some d
-      | None -> fail (Printf.sprintf "bad digest %S" hex))
-    | "labels" -> labels := Some (parse_labels ())
-    | "step" | "frames" | "format" ->
-      let v = parse_int () in
-      if key = "step" then step := Some v
-    | "subsystem" -> subsystem := Some (parse_string ())
-    | "type" -> if parse_string () = "meta" then is_meta := true
-    | other -> fail (Printf.sprintf "unknown key %S" other));
-    match peek () with
-    | Some ',' ->
-      incr pos;
-      members ()
-    | Some '}' -> incr pos
-    | _ -> fail "expected ',' or '}'"
-  in
-  members ();
-  if !pos <> n then fail "trailing garbage";
-  if !is_meta then None
-  else
-    match (!digest, !labels, !step, !subsystem) with
-    | Some digest, Some f_labels, Some step, Some subsystem ->
-      Some { Recorder.f_labels; step; subsystem; digest }
-    | _ -> fail "frame is missing a field"
+    let int k =
+      match field k with
+      | Some (Json.Int i) -> Some i
+      | None -> None
+      | Some _ -> Json.error "%S is not an integer" k
+    in
+    let digest =
+      Option.map
+        (fun hex ->
+          match Fnv.of_hex hex with
+          | Some d -> d
+          | None -> Json.error "bad digest %S" hex)
+        (str "digest")
+    in
+    let labels =
+      match field "labels" with
+      | None -> None
+      | Some (Json.Obj pairs) ->
+        Some
+          (List.map
+             (function
+               | k, Json.Str v -> (k, v)
+               | k, _ -> Json.error "label %S is not a string" k)
+             pairs)
+      | Some _ -> Json.error "\"labels\" is not an object"
+    in
+    let step = int "step" and subsystem = str "subsystem" in
+    ignore (int "format", int "frames");
+    if str "type" = Some "meta" then None
+    else (
+      match (digest, labels, step, subsystem) with
+      | Some digest, Some f_labels, Some step, Some subsystem ->
+        Some { Recorder.f_labels; step; subsystem; digest }
+      | _ -> Json.error "frame is missing a field")
+  | _ -> Json.error "expected an object"
 
 let of_jsonl data =
-  let lines =
-    List.filteri
-      (fun _ l -> String.trim l <> "")
-      (String.split_on_char '\n' data)
-  in
-  let rec loop i acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line line with
-      | Some frame -> loop (i + 1) (frame :: acc) rest
-      | None -> loop (i + 1) acc rest
-      | exception Bad msg -> Error (Printf.sprintf "line %d: %s" i msg))
-  in
-  loop 1 [] lines
+  match Json.map_lines frame_of_json data with
+  | frames -> Ok (List.filter_map Fun.id frames)
+  | exception Json.Error msg -> Error msg

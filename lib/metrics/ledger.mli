@@ -9,6 +9,7 @@
 type t
 
 val create : unit -> t
+(** An empty ledger: no labels, zero totals. *)
 
 val charge : t -> label:string -> messages:int -> rounds:int -> unit
 (** Add [messages] messages and [rounds] sequential rounds under [label]. *)
@@ -41,8 +42,11 @@ val labels : t -> (string * int * int) list
 val reset : t -> unit
 
 type snapshot = { messages : int; rounds : int }
+(** Message and round totals at one instant (or, from {!since}, the
+    difference between two instants). *)
 
 val snapshot : t -> snapshot
+(** The ledger's current {!total_messages} and {!total_rounds}. *)
 
 val since : t -> snapshot -> snapshot
 (** Cost accumulated since [snapshot] was taken. *)

@@ -15,6 +15,8 @@ val add : t -> float -> unit
 val add_int : t -> int -> unit
 
 val count : t -> int
+(** Number of observations fed so far. *)
+
 val mean : t -> float
 (** Mean of the observations; [nan] if empty. *)
 
@@ -34,6 +36,7 @@ val total : t -> float
 val merge : t -> t -> t
 (** [merge a b] is an accumulator equivalent to having seen both streams. *)
 
+(** The accumulator's statistics frozen into a record, for printing. *)
 type summary = {
   n : int;
   mean : float;
@@ -43,5 +46,7 @@ type summary = {
 }
 
 val summary : t -> summary
+(** Count, {!mean}, {!stddev}, {!min} and {!max} of the observations. *)
 
 val pp_summary : Format.formatter -> summary -> unit
+(** [n=… mean=… sd=… min=… max=…], floats to 4 significant digits. *)

@@ -63,15 +63,10 @@ let print t =
   print_string (render t);
   print_newline ()
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let to_csv t =
   let buf = Buffer.create 1024 in
   let row_to_csv cells =
-    String.concat "," (List.map csv_escape cells) ^ "\n"
+    String.concat "," (List.map Codec.Csv.field cells) ^ "\n"
   in
   Buffer.add_string buf (row_to_csv t.columns);
   List.iter

@@ -27,5 +27,8 @@ val print : t -> unit
 (** [render] to stdout, followed by a blank line. *)
 
 val to_csv : t -> string
+(** Header row and data rows, comma-separated, each field quoted with
+    {!Codec.Csv.field}. *)
 
 val cell_to_string : cell -> string
+(** A cell as {!render} and {!to_csv} print it. *)

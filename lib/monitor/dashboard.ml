@@ -2,18 +2,7 @@
    fragment is a pure function of the store contents, keeping the emitted
    document byte-deterministic. *)
 
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+open Metrics.Codec
 
 let short v = Printf.sprintf "%.4g" v
 let full = Store.float_repr
@@ -131,14 +120,14 @@ let chart buf card =
   bpf
     "<svg viewBox=\"0 0 %.0f %.0f\" role=\"img\" aria-label=\"%s time \
      series\">\n" chart_w chart_h
-    (html_escape (card.c_series ^ " " ^ labels_text card.c_labels));
+    (Html.escape (card.c_series ^ " " ^ labels_text card.c_labels));
   (* recessive grid: three hairlines + baseline *)
   let gridline v =
     bpf
       "<line class=\"grid\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n\
        <text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
       pad_l (y v) (chart_w -. pad_r) (y v) (pad_l -. 5.0) (y v +. 3.0)
-      (html_escape (short v))
+      (Html.escape (short v))
   in
   gridline vhi;
   gridline ((vlo +. vhi) /. 2.0);
@@ -146,7 +135,7 @@ let chart buf card =
     "<line class=\"baseline\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n"
     pad_l (chart_h -. pad_b) (chart_w -. pad_r) (chart_h -. pad_b);
   bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
-    (pad_l -. 5.0) (chart_h -. pad_b +. 3.0) (html_escape (short vlo));
+    (pad_l -. 5.0) (chart_h -. pad_b +. 3.0) (Html.escape (short vlo));
   bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\">t=%d</text>\n" pad_l
     (chart_h -. 8.0) tmin;
   bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">t=%d</text>\n"
@@ -171,7 +160,7 @@ let chart buf card =
          text-anchor=\"end\">bound %s</text>\n"
         (chart_w -. pad_r -. 2.0)
         (y bv -. 4.0)
-        (html_escape (short bv)));
+        (Html.escape (short bv)));
   (* the series itself: one 2px line, so no legend is needed *)
   (match card.points with
   | [ (t, v) ] ->
@@ -191,9 +180,9 @@ let chart buf card =
         "<circle class=\"breach\" cx=\"%.2f\" cy=\"%.2f\" \
          r=\"4\"><title>breach t=%d: %s (bound %s) — %s</title></circle>\n"
         (x v.v_time) (y v.observed) v.v_time
-        (html_escape (full v.observed))
-        (html_escape (full v.bound))
-        (html_escape v.detail))
+        (Html.escape (full v.observed))
+        (Html.escape (full v.bound))
+        (Html.escape v.detail))
     card.marks;
   (* hover layer: oversized transparent hit targets with native tooltips *)
   if List.length card.points <= 600 then
@@ -203,7 +192,7 @@ let chart buf card =
           "<circle class=\"hit\" cx=\"%.2f\" cy=\"%.2f\" \
            r=\"7\"><title>t=%d: %s</title></circle>\n"
           (x t) (y v) t
-          (html_escape (full v)))
+          (Html.escape (full v)))
       card.points;
   bpf "</svg>\n"
 
@@ -277,17 +266,17 @@ let waterfall_html buf rows =
       let y = row_h *. float_of_int i in
       let w v = bar_w *. (v /. scale) in
       bpf "<text class=\"wf-name\" x=\"0\" y=\"%.2f\">%s</text>\n" (y +. 14.0)
-        (html_escape prim);
+        (Html.escape prim);
       if labels <> [] then
         bpf "<text class=\"wf-sub\" x=\"0\" y=\"%.2f\">%s</text>\n" (y +. 25.0)
-          (html_escape (labels_text labels));
+          (Html.escape (labels_text labels));
       let bar cls v =
         if v > 0.0 then
           bpf
             "<rect class=\"%s\" x=\"%.2f\" y=\"%.2f\" width=\"%.2f\" \
              height=\"14\"><title>%s %s: %s</title></rect>\n"
-            cls label_w (y +. 4.0) (w v) cls (html_escape prim)
-            (html_escape (full v))
+            cls label_w (y +. 4.0) (w v) cls (Html.escape prim)
+            (Html.escape (full v))
       in
       bar "wf-max" c.(3);
       bar "wf-p99" c.(2);
@@ -296,7 +285,7 @@ let waterfall_html buf rows =
       bpf "<text class=\"wf-val\" x=\"%.2f\" y=\"%.2f\">max %s</text>\n"
         (label_w +. w c.(3) +. 6.0)
         (y +. 15.0)
-        (html_escape (short c.(3)));
+        (Html.escape (short c.(3)));
       if c.(4) > 0.0 then
         bpf
           "<text class=\"wf-timeout\" x=\"%.2f\" y=\"%.2f\">&#9888; %.0f \
@@ -310,7 +299,7 @@ let waterfall_html buf rows =
     label_w (height -. 6.0)
     (label_w +. bar_w)
     (height -. 6.0)
-    (html_escape (short scale));
+    (Html.escape (short scale));
   bpf "</svg>\n</section>\n"
 
 (* ------------------------------------------------------------------ *)
@@ -334,17 +323,17 @@ let summary_stats points =
 let card_html buf card =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "<section class=\"card\">\n<header>\n<div>\n<h3>%s</h3>\n"
-    (html_escape card.c_series);
+    (Html.escape card.c_series);
   bpf "<p class=\"labels\">%s · %s</p>\n"
-    (html_escape (labels_text card.c_labels))
-    (html_escape (Store.kind_name card.c_kind));
+    (Html.escape (labels_text card.c_labels))
+    (Html.escape (Store.kind_name card.c_kind));
   (match Probe.describe card.c_series with
-  | Some d -> bpf "<p class=\"desc\">%s</p>\n" (html_escape d)
+  | Some d -> bpf "<p class=\"desc\">%s</p>\n" (Html.escape d)
   | None -> ());
   bpf "</div>\n";
   (match summary_stats card.points with
   | Some (_, _, _, last) ->
-      bpf "<p class=\"hero\">%s</p>\n" (html_escape (short last))
+      bpf "<p class=\"hero\">%s</p>\n" (Html.escape (short last))
   | None -> ());
   bpf "</header>\n";
   chart buf card;
@@ -353,9 +342,9 @@ let card_html buf card =
       bpf
         "<p class=\"stats\"><span>min %s</span><span>p50 %s</span><span>max \
          %s</span><span>%d pts</span>"
-        (html_escape (short mn))
-        (html_escape (short md))
-        (html_escape (short mx))
+        (Html.escape (short mn))
+        (Html.escape (short md))
+        (Html.escape (short mx))
         (List.length card.points);
       if card.marks <> [] then
         bpf "<span class=\"crit\">&#10007; %d breaches</span>"
@@ -371,7 +360,7 @@ let card_html buf card =
     (fun (t, v) ->
       if !shown < 1000 then begin
         incr shown;
-        bpf "<tr><td>%d</td><td>%s</td></tr>\n" t (html_escape (full v))
+        bpf "<tr><td>%d</td><td>%s</td></tr>\n" t (Html.escape (full v))
       end)
     card.points;
   if List.length card.points > 1000 then
@@ -475,8 +464,8 @@ let render ?(title = "nowlib invariant monitor") store =
     "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
      <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
      <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  bpf "<h1>%s</h1>\n" (html_escape title);
+    (Html.escape title) style;
+  bpf "<h1>%s</h1>\n" (Html.escape title);
   bpf
     "<p class=\"meta\">deterministic time-series over the paper's safety \
      bounds · cadence %d · every number below is a pure function of the run's \
@@ -520,18 +509,18 @@ let render ?(title = "nowlib invariant monitor") store =
           "<tr><td class=\"crit\">&#10007; breach</td><td>%d</td><td>%s</td>\
            <td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
           v.v_time
-          (html_escape v.invariant)
-          (html_escape (labels_text v.v_labels))
-          (html_escape (full v.observed))
-          (html_escape (full v.bound))
-          (html_escape v.detail);
+          (Html.escape v.invariant)
+          (Html.escape (labels_text v.v_labels))
+          (Html.escape (full v.observed))
+          (Html.escape (full v.bound))
+          (Html.escape v.detail);
         (* the blame pane: the causal window behind a disclosure, so the
            table stays scannable while every breach carries its history *)
         bpf "<td><details class=\"blame\"><summary>%d event%s</summary><ul>\n"
           (List.length v.blame)
           (if List.length v.blame = 1 then "" else "s");
         List.iter
-          (fun entry -> bpf "<li>%s</li>\n" (html_escape entry))
+          (fun entry -> bpf "<li>%s</li>\n" (Html.escape entry))
           v.blame;
         bpf "</ul></details></td></tr>\n")
       violations;

@@ -333,26 +333,13 @@ let items dump =
 (* Serialisation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+module Json = Metrics.Codec.Json
 
 let attrs_json attrs =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) attrs in
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (json_string k) v) sorted)
+      (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (Json.string k) v) sorted)
   ^ "}"
 
 let to_jsonl dump =
@@ -371,8 +358,8 @@ let to_jsonl dump =
                 \"msgs\":%d,\"name\":%s,\"rounds\":%d,\"self_msgs\":%d,\
                 \"self_rounds\":%d,\"seq\":%d,\"time\":%d}"
                (attrs_json s.attrs) s.depth s.end_seq
-               (json_string (layer_name s.layer))
-               s.messages (json_string s.name) s.rounds s.self_messages s.self_rounds
+               (Json.string (layer_name s.layer))
+               s.messages (Json.string s.name) s.rounds s.self_messages s.self_rounds
                s.seq s.time)
         else
           Buffer.add_string b
@@ -381,8 +368,8 @@ let to_jsonl dump =
                 \"layer\":%s,\"msgs\":%d,\"name\":%s,\"rounds\":%d,\"self_alloc\":%d,\
                 \"self_msgs\":%d,\"self_rounds\":%d,\"seq\":%d,\"time\":%d}"
                s.alloc (attrs_json s.attrs) s.depth s.end_seq
-               (json_string (layer_name s.layer))
-               s.messages (json_string s.name) s.rounds s.self_alloc
+               (Json.string (layer_name s.layer))
+               s.messages (Json.string s.name) s.rounds s.self_alloc
                s.self_messages s.self_rounds s.seq s.time)
       | Mark m ->
         Buffer.add_string b
@@ -390,8 +377,8 @@ let to_jsonl dump =
              "{\"attrs\":%s,\"depth\":%d,\"kind\":\"point\",\"layer\":%s,\"name\":%s,\
               \"seq\":%d,\"time\":%d}"
              (attrs_json m.attrs) m.depth
-             (json_string (layer_name m.layer))
-             (json_string m.name) m.seq m.time));
+             (Json.string (layer_name m.layer))
+             (Json.string m.name) m.seq m.time));
       Buffer.add_char b '\n')
     (items dump);
   if dump.dropped > 0 then
@@ -417,17 +404,17 @@ let to_chrome dump =
              "{\"args\":%s,\"cat\":%s,\"dur\":%d,\"name\":%s,\"ph\":\"X\",\"pid\":0,\
               \"tid\":0,\"ts\":%d}"
              (attrs_json args)
-             (json_string (layer_name s.layer))
+             (Json.string (layer_name s.layer))
              (max 1 (s.end_seq - s.seq))
-             (json_string s.name) s.seq)
+             (Json.string s.name) s.seq)
       | Mark m ->
         Buffer.add_string b
           (Printf.sprintf
              "{\"args\":%s,\"cat\":%s,\"name\":%s,\"ph\":\"i\",\"pid\":0,\"s\":\"t\",\
               \"tid\":0,\"ts\":%d}"
              (attrs_json (("time", m.time) :: m.attrs))
-             (json_string (layer_name m.layer))
-             (json_string m.name) m.seq))
+             (Json.string (layer_name m.layer))
+             (Json.string m.name) m.seq))
     (items dump);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

@@ -111,6 +111,8 @@ val with_span :
 (* ------------------------------------------------------------------ *)
 
 type buf
+(** One task's private event buffer: its events, drop count and
+    flight-recorder ring, folded into the collector by {!merge}. *)
 
 val task_buf : unit -> buf
 (** A fresh empty task buffer (call only while a collector is active). *)

@@ -27,10 +27,10 @@
    deterministic fields gate. *)
 
 (* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
+(* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-open Minijson
+open Metrics.Codec
 
 let format_error fmt =
   Printf.ksprintf
@@ -39,34 +39,13 @@ let format_error fmt =
       exit 2)
     fmt
 
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> format_error "missing field %S" name)
-  | _ -> format_error "expected an object holding %S" name
-
-let to_num name = function
-  | Num f -> f
-  | Null -> nan
-  | _ -> format_error "field %S is not a number" name
-
-let num name j = to_num name (member name j)
-
-(* Optional numeric field: [None] when absent or non-numeric — used for
-   fields newer than some committed baselines (alloc_bytes). *)
-let num_opt name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with Some (Num f) -> Some f | _ -> None)
-  | _ -> None
-
 let load path =
   if not (Sys.file_exists path) then format_error "no such file: %s" path;
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let j = try parse_json data with Parse_error m -> format_error "%s: %s" path m in
-  if num "format" j <> 1.0 then format_error "%s: unknown format version" path;
+  let j = try Json.parse data with Json.Error m -> format_error "%s: %s" path m in
+  if Json.num "format" j <> 1.0 then format_error "%s: unknown format version" path;
   j
 
 (* ------------------------------------------------------------------ *)
@@ -96,12 +75,12 @@ let alloc_floor = 1e6 (* runs allocating under 1 MB are all noise *)
 let wall_offenders : (string * float * float) list ref = ref []
 
 let experiments j =
-  match member "experiments" j with
-  | Arr items ->
+  match Json.member "experiments" j with
+  | Json.Arr items ->
     List.map
       (fun item ->
-        match member "id" item with
-        | Str id -> (id, item)
+        match Json.member "id" item with
+        | Json.Str id -> (id, item)
         | _ -> format_error "experiment id is not a string")
       items
   | _ -> format_error "\"experiments\" is not an array"
@@ -116,16 +95,17 @@ let compare_experiments base cur =
       match List.assoc_opt id c with
       | None -> report "experiment %s disappeared from the current run" id
       | Some cx ->
-        let b_ok = member "ok" bx = Bool true in
-        let c_ok = member "ok" cx = Bool true in
+        let b_ok = Json.member "ok" bx = Json.Bool true in
+        let c_ok = Json.member "ok" cx = Json.Bool true in
         if b_ok && not c_ok then
           report "%s: paper-shape assertion regressed (ok -> not ok)" id
         else if (not b_ok) && c_ok then
           info "%s: paper-shape assertion now passes (was failing)" id;
-        let b_rows = num "rows" bx and c_rows = num "rows" cx in
+        let b_rows = Json.num "rows" bx and c_rows = Json.num "rows" cx in
         if b_rows <> c_rows then
           report "%s: table shape changed (%g rows -> %g rows)" id b_rows c_rows;
-        let b_wall = num "wall_seconds" bx and c_wall = num "wall_seconds" cx in
+        let b_wall = Json.num "wall_seconds" bx
+        and c_wall = Json.num "wall_seconds" cx in
         if b_wall >= wall_floor || c_wall >= wall_floor then begin
           let ratio = if b_wall > 0.0 then c_wall /. b_wall else infinity in
           if ratio > wall_band_hi then begin
@@ -138,7 +118,7 @@ let compare_experiments base cur =
             info "%s: wall time %.3fs -> %.3fs (%.2fx speedup; baseline stale?)"
               id b_wall c_wall ratio
         end;
-        (match (num_opt "alloc_bytes" bx, num_opt "alloc_bytes" cx) with
+        (match (Json.num_opt "alloc_bytes" bx, Json.num_opt "alloc_bytes" cx) with
         | Some b_alloc, Some c_alloc
           when b_alloc >= alloc_floor || c_alloc >= alloc_floor ->
           let ratio = if b_alloc > 0.0 then c_alloc /. b_alloc else infinity in
@@ -166,7 +146,7 @@ let compare_experiments base cur =
    regenerate the baseline, not to fail the build.  With no additions,
    any movement is real drift and blocks. *)
 let compare_invariants ~new_ids base cur =
-  let b = member "invariants" base and c = member "invariants" cur in
+  let b = Json.member "invariants" base and c = Json.member "invariants" cur in
   let additions = String.concat ", " new_ids in
   let aggregate fmt =
     if new_ids = [] then report fmt
@@ -180,7 +160,7 @@ let compare_invariants ~new_ids base cur =
         fmt
   in
   let scalar name =
-    let bv = num name b and cv = num name c in
+    let bv = Json.num name b and cv = Json.num name c in
     let same =
       (Float.is_nan bv && Float.is_nan cv) || Float.abs (bv -. cv) <= float_tol
     in
@@ -195,9 +175,8 @@ let compare_invariants ~new_ids base cur =
   scalar "overlay_degree_max";
   scalar "expansion_min";
   let tally j =
-    match member "violations_by_invariant" j with
-    | Obj fields ->
-      List.map (fun (k, v) -> (k, to_num ("violations_by_invariant." ^ k) v)) fields
+    match Json.member "violations_by_invariant" j with
+    | Json.Obj fields as tally -> List.map (fun (k, _) -> (k, Json.num k tally)) fields
     | _ -> format_error "\"violations_by_invariant\" is not an object"
   in
   let bt = List.sort compare (tally b) and ct = List.sort compare (tally c) in
@@ -208,29 +187,32 @@ let compare_invariants ~new_ids base cur =
     aggregate "violation tally changed: {%s} -> {%s}" (show bt) (show ct)
   end
 
+let main baseline_path current_path =
+  let base = load baseline_path and cur = load current_path in
+  (match (Json.member "mode" base, Json.member "mode" cur) with
+  | Json.Str bm, Json.Str cm when bm <> cm ->
+    format_error "mode mismatch: baseline %s vs current %s" bm cm
+  | Json.Str _, Json.Str _ -> ()
+  | _ -> format_error "\"mode\" is not a string");
+  let new_ids = compare_experiments base cur in
+  compare_invariants ~new_ids base cur;
+  if !drift then begin
+    print_endline "==> out-of-band drift against the baseline";
+    List.iter
+      (fun (id, b_wall, c_wall) ->
+        Printf.printf "    %s: %.3fs -> %.3fs (%.2fx regression)\n" id b_wall
+          c_wall (c_wall /. b_wall))
+      (List.rev !wall_offenders);
+    exit 1
+  end
+  else print_endline "==> within band"
+
 let () =
-  let usage () =
+  match Sys.argv with
+  | [| _; baseline_path; current_path |] -> (
+    (* A missing or mistyped field anywhere is a format error. *)
+    try main baseline_path current_path
+    with Json.Error msg -> format_error "%s" msg)
+  | _ ->
     prerr_endline "usage: bench_diff BASELINE.json CURRENT.json";
     exit 2
-  in
-  match Sys.argv with
-  | [| _; baseline_path; current_path |] ->
-    let base = load baseline_path and cur = load current_path in
-    (match (member "mode" base, member "mode" cur) with
-    | Str bm, Str cm when bm <> cm ->
-      format_error "mode mismatch: baseline %s vs current %s" bm cm
-    | Str _, Str _ -> ()
-    | _ -> format_error "\"mode\" is not a string");
-    let new_ids = compare_experiments base cur in
-    compare_invariants ~new_ids base cur;
-    if !drift then begin
-      print_endline "==> out-of-band drift against the baseline";
-      List.iter
-        (fun (id, b_wall, c_wall) ->
-          Printf.printf "    %s: %.3fs -> %.3fs (%.2fx regression)\n" id b_wall
-            c_wall (c_wall /. b_wall))
-        (List.rev !wall_offenders);
-      exit 1
-    end
-    else print_endline "==> within band"
-  | _ -> usage ()

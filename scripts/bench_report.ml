@@ -12,7 +12,7 @@
    everything (styles, charts) — no external assets — so it can be
    archived as a CI artifact and opened anywhere. *)
 
-open Minijson
+open Metrics.Codec
 
 let format_error fmt =
   Printf.ksprintf
@@ -21,23 +21,6 @@ let format_error fmt =
       exit 2)
     fmt
 
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> format_error "missing field %S" name)
-  | _ -> format_error "expected an object holding %S" name
-
-let num name j =
-  match member name j with
-  | Num f -> f
-  | _ -> format_error "field %S is not a number" name
-
-let num_opt name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with Some (Num f) -> Some f | _ -> None)
-  | _ -> None
-
 type run = {
   mode : string;
   stamp : float;
@@ -45,67 +28,47 @@ type run = {
       (* id -> ok, wall seconds, alloc bytes, peak live words *)
 }
 
-let parse_line lineno line =
-  let j =
-    try parse_json line
-    with Parse_error m -> format_error "line %d: %s" lineno m
-  in
-  if num "format" j <> 1.0 then
-    format_error "line %d: unknown format version" lineno;
+let run_of_json j =
+  if Json.num "format" j <> 1.0 then Json.error "unknown format version";
   let mode =
-    match member "mode" j with
-    | Str m -> m
-    | _ -> format_error "line %d: \"mode\" is not a string" lineno
+    match Json.member "mode" j with
+    | Json.Str m -> m
+    | _ -> Json.error "\"mode\" is not a string"
   in
   let cells =
-    match member "experiments" j with
-    | Arr items ->
+    match Json.member "experiments" j with
+    | Json.Arr items ->
       List.map
         (fun item ->
           let id =
-            match member "id" item with
-            | Str id -> id
-            | _ -> format_error "line %d: experiment id is not a string" lineno
+            match Json.member "id" item with
+            | Json.Str id -> id
+            | _ -> Json.error "experiment id is not a string"
           in
-          let ok = member "ok" item = Bool true in
+          let ok = Json.member "ok" item = Json.Bool true in
           ( id,
             ( ok,
-              num "wall_seconds" item,
-              num_opt "alloc_bytes" item,
-              num_opt "peak_live_words" item ) ))
+              Json.num "wall_seconds" item,
+              Json.num_opt "alloc_bytes" item,
+              Json.num_opt "peak_live_words" item ) ))
         items
-    | _ -> format_error "line %d: \"experiments\" is not an array" lineno
+    | _ -> Json.error "\"experiments\" is not an array"
   in
-  { mode; stamp = num "stamp" j; cells }
+  { mode; stamp = Json.num "stamp" j; cells }
 
 let load path =
   if not (Sys.file_exists path) then format_error "no such file: %s" path;
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let lines =
-    String.split_on_char '\n' data
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  if lines = [] then format_error "%s: empty history" path;
-  List.mapi (fun i l -> parse_line (i + 1) l) lines
+  match Json.map_lines run_of_json data with
+  | [] -> format_error "%s: empty history" path
+  | runs -> runs
+  | exception Json.Error msg -> format_error "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let short v = Printf.sprintf "%.4g" v
 
@@ -143,26 +106,26 @@ let polyline buf ~cls ~n ~vlo ~vhi points =
         "<circle class=\"hit\" cx=\"%.2f\" cy=\"%.2f\" r=\"7\"><title>run \
          %d: %s</title></circle>\n"
         (x i) (y v) (i + 1)
-        (html_escape (short v)))
+        (Html.escape (short v)))
     points
 
 let card buf ~id ~n walls allocs lives oks =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "<section class=\"card\">\n<header>\n<div>\n<h3>%s</h3>\n"
-    (html_escape id);
+    (Html.escape id);
   let failures = List.length (List.filter (fun (_, ok) -> not ok) oks) in
   bpf "<p class=\"labels\">wall seconds per run%s%s</p>\n"
     (match allocs with [] -> "" | _ -> " · alloc MB dashed, own scale")
     (match lives with [] -> "" | _ -> " · live Mwords dotted, own scale");
   bpf "</div>\n";
   (match List.rev walls with
-  | (_, last) :: _ -> bpf "<p class=\"hero\">%ss</p>\n" (html_escape (short last))
+  | (_, last) :: _ -> bpf "<p class=\"hero\">%ss</p>\n" (Html.escape (short last))
   | [] -> ());
   bpf "</header>\n";
   bpf
     "<svg viewBox=\"0 0 %.0f %.0f\" role=\"img\" aria-label=\"%s wall time \
      across runs\">\n"
-    chart_w chart_h (html_escape id);
+    chart_w chart_h (Html.escape id);
   let values = List.map snd walls in
   let vlo = List.fold_left min infinity values in
   let vhi = List.fold_left max neg_infinity values in
@@ -178,7 +141,7 @@ let card buf ~id ~n walls allocs lives oks =
       "<line class=\"grid\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n\
        <text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
       pad_l (y v) (chart_w -. pad_r) (y v) (pad_l -. 5.0) (y v +. 3.0)
-      (html_escape (short v))
+      (Html.escape (short v))
   in
   gridline vhi;
   gridline ((vlo +. vhi) /. 2.0);
@@ -227,9 +190,9 @@ let card buf ~id ~n walls allocs lives oks =
     else
       let sorted = List.sort compare values in
       Printf.sprintf "<span>min %s%s</span><span>max %s%s</span>"
-        (html_escape (short (List.nth sorted 0)))
+        (Html.escape (short (List.nth sorted 0)))
         unit
-        (html_escape (short (List.nth sorted (n - 1))))
+        (Html.escape (short (List.nth sorted (n - 1))))
         unit
   in
   bpf "<p class=\"stats\">%s%s%s<span>%d runs</span>" (stats values "s")
@@ -325,7 +288,7 @@ let render runs =
     "<p class=\"meta\">per-experiment wall time, caller-domain allocation and \
      peak live words across recorded bench runs · latest: %s mode, stamp \
      %.0f</p>\n"
-    (html_escape last.mode) last.stamp;
+    (Html.escape last.mode) last.stamp;
   bpf "<div class=\"tiles\">\n";
   bpf
     "<div class=\"tile\"><div class=\"k\">runs</div><div \
@@ -341,7 +304,7 @@ let render runs =
   bpf
     "<div class=\"tile\"><div class=\"k\">latest total wall</div><div \
      class=\"v\">%ss</div></div>\n"
-    (html_escape (short total_wall));
+    (Html.escape (short total_wall));
   bpf "</div>\n<div class=\"grid-cards\">\n";
   List.iter
     (fun id ->

@@ -1,8 +1,7 @@
 #!/bin/sh
 # Doc-coverage lint for the public interfaces of lib/adversary, lib/apps,
-# lib/core,
-# lib/asim, lib/audit, lib/cluster, lib/monitor, lib/scenario,
-# lib/simkernel and lib/telemetry:
+# lib/core, lib/asim, lib/audit, lib/cluster, lib/metrics, lib/monitor,
+# lib/scenario, lib/simkernel, lib/telemetry and lib/trace:
 # every .mli must open with a module-level
 # (** ... *) header, and every top-level `val`/`type`/`exception` item
 # must carry an odoc comment — either ending within the three lines above
@@ -53,7 +52,7 @@ check_file() {
     esac
 }
 
-for f in lib/adversary/*.mli lib/core/*.mli lib/apps/*.mli lib/asim/*.mli lib/audit/*.mli lib/cluster/*.mli lib/monitor/*.mli lib/scenario/*.mli lib/simkernel/*.mli lib/telemetry/*.mli; do
+for f in lib/adversary/*.mli lib/core/*.mli lib/apps/*.mli lib/asim/*.mli lib/audit/*.mli lib/cluster/*.mli lib/metrics/*.mli lib/monitor/*.mli lib/scenario/*.mli lib/simkernel/*.mli lib/telemetry/*.mli lib/trace/*.mli; do
     check_file "$f"
 done
 

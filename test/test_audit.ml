@@ -179,15 +179,41 @@ let test_export_round_trip () =
          Scenario.cells ~jobs:1 ~engine:`Msg ~seed:13 ~cells:2 small_spec));
   let frames = Audit.Recorder.frames r in
   checkb "frames recorded" true (frames <> []);
-  match Audit.Export.of_jsonl (Audit.Export.jsonl_string r) with
+  (match Audit.Export.of_jsonl (Audit.Export.jsonl_string r) with
   | Error msg -> Alcotest.fail msg
-  | Ok parsed -> checkb "parse (print frames) = frames" true (parsed = frames)
+  | Ok parsed -> checkb "parse (print frames) = frames" true (parsed = frames));
+  (* Every control byte the writer turns into a \u00xx escape (tab, CR,
+     \001), plus the short-form escapes, must read back unchanged. *)
+  let hostile =
+    [
+      { Audit.Recorder.f_labels = [ ("cell", "a\tb"); ("k\r", "\001") ];
+        step = 3; subsystem = "rng"; digest = 0x0123456789abcdefL };
+      { Audit.Recorder.f_labels = [ ("q\"uote", "back\\slash\nline") ];
+        step = max_int; subsystem = "tab\there"; digest = -1L };
+    ]
+  in
+  match Audit.Export.of_jsonl (Audit.Export.frames_to_jsonl hostile) with
+  | Error msg -> Alcotest.fail msg
+  | Ok parsed -> checkb "hostile labels round-trip" true (parsed = hostile)
 
 let test_export_rejects_garbage () =
   checkb "non-json rejected" true
     (Result.is_error (Audit.Export.of_jsonl "not json\n"));
   checkb "missing key rejected" true
-    (Result.is_error (Audit.Export.of_jsonl "{\"step\":1}\n"))
+    (Result.is_error (Audit.Export.of_jsonl "{\"step\":1}\n"));
+  let frame =
+    {|{"subsystem":"rng","step":2,"labels":{"cell":"0"},"digest":"00000000000000ff"}|}
+  in
+  let meta = {|{"format":1,"frames":1,"type":"meta"}|} in
+  checkb "key order free, meta skipped" true
+    (Audit.Export.of_jsonl (frame ^ "\n" ^ meta ^ "\n")
+    = Ok
+        [ { Audit.Recorder.f_labels = [ ("cell", "0") ]; step = 2;
+            subsystem = "rng"; digest = 0xffL } ]);
+  checkb "unknown key rejected on its line" true
+    (match Audit.Export.of_jsonl (meta ^ "\n{\"extra\":1}\n") with
+    | Error msg -> String.starts_with ~prefix:"line 2: unknown key \"extra\"" msg
+    | Ok _ -> false)
 
 (* ---------- bisection ---------- *)
 

@@ -5,6 +5,7 @@ module Histogram = Metrics.Histogram
 module Ledger = Metrics.Ledger
 module Table = Metrics.Table
 module Fit = Metrics.Fit
+module Json = Metrics.Codec.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -155,6 +156,70 @@ let test_cells () =
   Alcotest.check Alcotest.string "f2" "2.50" (Table.cell_to_string (Table.F2 2.5));
   Alcotest.check Alcotest.string "sci" "1.00e-03" (Table.cell_to_string (Table.E 0.001))
 
+(* ---------- codec ---------- *)
+
+let test_json_string_pinned () =
+  Alcotest.check Alcotest.string "escape rule"
+    {|"\u0009\u000d\u0001\"\\\n"|}
+    (Json.string "\t\r\001\"\\\n");
+  Alcotest.check Alcotest.string "non-ASCII bytes pass through" "\"\xc3\xa9\x7f\""
+    (Json.string "\xc3\xa9\x7f")
+
+let test_json_reader () =
+  let j =
+    Json.parse
+      (Printf.sprintf
+         {| {"big": %d, "neg": -7, "x": 1.5e3,
+             "s": "a\/\t\u00e9", "l": [true, false, null], "o": {}} |}
+         max_int)
+  in
+  checkb "max_int reads back exactly" true (Json.member "big" j = Json.Int max_int);
+  checkb "negative int" true (Json.member "neg" j = Json.Int (-7));
+  checkf "exponent is a float" 1500.0 (Json.num "x" j);
+  checkf "int as float" (-7.0) (Json.num "neg" j);
+  checkb "escapes decode" true (Json.member "s" j = Json.Str "a/\t\xc3\xa9");
+  checkb "literals" true
+    (Json.member "l" j = Json.Arr [ Json.Bool true; Json.Bool false; Json.Null ]);
+  checkb "absent optional field" true (Json.num_opt "nope" j = None);
+  checkb "non-numeric optional field" true (Json.num_opt "s" j = None);
+  Alcotest.check_raises "missing field" (Json.Error "missing field \"nope\"")
+    (fun () -> ignore (Json.member "nope" j));
+  Alcotest.check_raises "trailing garbage" (Json.Error "trailing garbage at byte 3")
+    (fun () -> ignore (Json.parse "{} x"))
+
+let test_jsonl_line_numbers () =
+  let data = "{\"a\":1}\n\n{\"a\":2}\n{\"a\":}\n" in
+  Alcotest.check_raises "third non-blank line named"
+    (Json.Error "line 3: bad number \"\" at byte 5")
+    (fun () -> ignore (Json.map_lines Fun.id data));
+  Alcotest.check_raises "accessor errors carry the line"
+    (Json.Error "line 2: missing field \"b\"")
+    (fun () -> ignore (Json.map_lines (Json.num "b") "{\"b\":0}\n{\"a\":1}"));
+  checkb "blank lines skipped" true
+    (Json.map_lines (Json.num "a") "{\"a\":1}\n\n  \n{\"a\":2}\n" = [ 1.0; 2.0 ])
+
+let test_csv_field () =
+  let f = Metrics.Codec.Csv.field in
+  Alcotest.check Alcotest.string "plain" "abc" (f "abc");
+  Alcotest.check Alcotest.string "comma" {|"a,b"|} (f "a,b");
+  Alcotest.check Alcotest.string "quote doubled" {|"say ""hi"""|} (f {|say "hi"|});
+  Alcotest.check Alcotest.string "newline" "\"a\nb\"" (f "a\nb");
+  Alcotest.check Alcotest.string "carriage return" "\"a\rb\"" (f "a\rb")
+
+let test_html_escape () =
+  Alcotest.check Alcotest.string "entities" "&amp;&lt;&gt;&quot;'x"
+    (Metrics.Codec.Html.escape {|&<>"'x|})
+
+let prop_json_string_round_trip =
+  let bytes =
+    QCheck.Gen.(
+      oneof
+        [ char; oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\031'; '\127'; '\255' ] ])
+  in
+  QCheck.Test.make ~name:"json string writer/reader round trip" ~count:500
+    (QCheck.string_of bytes)
+    (fun s -> Json.parse (Json.string s) = Json.Str s)
+
 let test_fit_linear_exact () =
   let f = Fit.linear [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
   checkf_eps 1e-9 "slope" 2.0 f.Fit.slope;
@@ -242,6 +307,11 @@ let suite =
     Alcotest.test_case "table row mismatch" `Quick test_table_row_mismatch;
     Alcotest.test_case "table csv" `Quick test_table_csv;
     Alcotest.test_case "cell formatting" `Quick test_cells;
+    Alcotest.test_case "json string pinned" `Quick test_json_string_pinned;
+    Alcotest.test_case "json reader" `Quick test_json_reader;
+    Alcotest.test_case "jsonl line numbers" `Quick test_jsonl_line_numbers;
+    Alcotest.test_case "csv field quoting" `Quick test_csv_field;
+    Alcotest.test_case "html escape" `Quick test_html_escape;
     Alcotest.test_case "fit linear exact" `Quick test_fit_linear_exact;
     Alcotest.test_case "fit linear noise" `Quick test_fit_linear_noise;
     Alcotest.test_case "fit power law" `Quick test_fit_power_law;
@@ -250,4 +320,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stats_mean_in_range;
     QCheck_alcotest.to_alcotest prop_merge_matches_sequential;
     QCheck_alcotest.to_alcotest prop_histogram_conserves;
+    QCheck_alcotest.to_alcotest prop_json_string_round_trip;
   ]
